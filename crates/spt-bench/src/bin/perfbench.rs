@@ -19,7 +19,8 @@
 //! revision it measured (`"rev"`); legacy entries written before stamping
 //! are backfilled on load. Cache state is controllable: `--cold` clears
 //! `.spt-cache/` first so every stage runs from scratch, `--warm` primes
-//! the cache with an untimed pass so the measured run is all replay.
+//! the cache with an untimed pass so the measured run reads every
+//! simulation from its memo.
 //!
 //! `--incremental` switches to the incremental-recompile scenario: a
 //! synthetic analysis-heavy module (see `spt_bench::incremental_workload`)
@@ -56,10 +57,8 @@ struct Totals {
     select_emit_s: f64,
     sim_s: f64,
     search_visited: u64,
-    trace_capture_s: f64,
-    trace_replay_s: f64,
-    trace_hits: u64,
-    trace_misses: u64,
+    sim_memo_hits: u64,
+    sim_direct_runs: u64,
 }
 
 impl Totals {
@@ -77,10 +76,8 @@ impl Totals {
             t.select_emit_s += r.stages.select_emit_s;
             t.sim_s += r.sim_baseline_s + r.sim_spt_s;
             t.search_visited += r.stages.search_visited;
-            t.trace_capture_s += r.stages.trace_capture_s + r.sim_trace.capture_s;
-            t.trace_replay_s += r.stages.trace_replay_s + r.sim_trace.replay_s;
-            t.trace_hits += r.stages.trace_cache_hits + r.sim_trace.hits();
-            t.trace_misses += r.stages.trace_cache_misses + r.sim_trace.misses();
+            t.sim_memo_hits += r.sim_trace.memo_hits;
+            t.sim_direct_runs += r.sim_trace.direct_runs;
         }
         t
     }
@@ -99,8 +96,7 @@ impl Totals {
              \"preprocess_s\": {:.6}, \"profile_s\": {:.6}, \"analysis_s\": {:.6}, \
              \"svp_s\": {:.6}, \"select_emit_s\": {:.6}, \"sim_s\": {:.6}, \
              \"search_visited\": {}, \"search_nodes_per_s\": {:.1}, \
-             \"trace_capture_s\": {:.6}, \"trace_replay_s\": {:.6}, \
-             \"trace_cache_hits\": {}, \"trace_cache_misses\": {}}}",
+             \"sim_memo_hits\": {}, \"sim_direct_runs\": {}}}",
             self.wall_s,
             self.compile_s,
             self.preprocess_s,
@@ -111,18 +107,16 @@ impl Totals {
             self.sim_s,
             self.search_visited,
             self.search_nodes_per_s(),
-            self.trace_capture_s,
-            self.trace_replay_s,
-            self.trace_hits,
-            self.trace_misses
+            self.sim_memo_hits,
+            self.sim_direct_runs
         )
     }
 }
 
-/// The benchmarked configuration: `best` with trace capture/replay on and
-/// the artifact cache at `.spt-cache/` — the production setup this tool is
-/// meant to measure. Run it twice to see warm-cache numbers.
-fn traced_best() -> CompilerConfig {
+/// The benchmarked configuration: `best` with the artifact cache at
+/// `.spt-cache/` — the production setup this tool is meant to measure. Run
+/// it twice to see warm-cache numbers.
+fn cached_best() -> CompilerConfig {
     spt_bench::with_trace(CompilerConfig::best())
 }
 
@@ -172,10 +166,6 @@ fn print_mode(label: &str, t: &Totals, threads: usize) {
         t.analysis_s,
         t.search_nodes_per_s()
     );
-    println!(
-        "{:<12} trace: capture={:.3}s replay={:.3}s",
-        "", t.trace_capture_s, t.trace_replay_s
-    );
 }
 
 /// The `"sequential": {...}` sub-object of a history entry, if present.
@@ -200,7 +190,7 @@ fn print_deltas(prev_entry: &str, seq: &Totals) {
         return;
     };
     println!("\nper-stage delta vs previous entry (sequential):");
-    let stages: [(&str, f64); 10] = [
+    let stages: [(&str, f64); 8] = [
         ("wall_s", seq.wall_s),
         ("compile_s", seq.compile_s),
         ("preprocess_s", seq.preprocess_s),
@@ -209,8 +199,6 @@ fn print_deltas(prev_entry: &str, seq: &Totals) {
         ("svp_s", seq.svp_s),
         ("select_emit_s", seq.select_emit_s),
         ("sim_s", seq.sim_s),
-        ("trace_capture_s", seq.trace_capture_s),
-        ("trace_replay_s", seq.trace_replay_s),
     ];
     for (name, now) in stages {
         let Some(before) = json_field(prev, name) else {
@@ -241,7 +229,7 @@ fn run_incremental(write_history_file: bool) {
     use spt_core::pipeline::transform_module_timed_with;
     use spt_core::{IncrementalCache, ProfilingInput, StageTimings};
 
-    // No trace backend: the function-granular cache under measurement is
+    // No artifact cache: the function-granular cache under measurement is
     // the explicit in-memory one, not the `.spt-cache/` artifact tiers.
     let config = CompilerConfig::best();
     let input = ProfilingInput::new(workload::ENTRY, [workload::TRAIN_ARG]);
@@ -366,7 +354,7 @@ fn main() {
         "perfbench",
         "pipeline wall-time per stage, sequential vs parallel",
     );
-    let config = traced_best();
+    let config = cached_best();
 
     if cold {
         // Start from an empty artifact cache: every stage pays full cost.
@@ -374,7 +362,7 @@ fn main() {
         println!("cache mode: cold (.spt-cache/ cleared)");
     } else if warm {
         // Prime the cache with a throwaway pass; the measured run below is
-        // then served entirely from replay.
+        // then served entirely from the cache.
         set_thread_count_override(Some(1));
         let _ = run_suite_timed(&config);
         set_thread_count_override(None);
@@ -395,8 +383,8 @@ fn main() {
         // must print the same digest whether served cold or from the cache.
         print_mode("sequential", &seq, 1);
         println!(
-            "trace cache: {} hits, {} misses",
-            seq.trace_hits, seq.trace_misses
+            "sim memo: {} hits, {} direct runs",
+            seq.sim_memo_hits, seq.sim_direct_runs
         );
         println!("report digest: {:016x}", report_digest(&seq_runs));
         assert!(seq.wall_s > 0.0 && seq.profile_s > 0.0 && seq.sim_s > 0.0);
@@ -422,11 +410,11 @@ fn main() {
     let rss = peak_rss_kb();
     println!("\nsuite wall speedup: {speedup:.2}x  (peak RSS {rss} kB)");
     println!(
-        "trace cache: {} hits, {} misses (sequential pass: {} hits, {} misses)",
-        seq.trace_hits + par.trace_hits,
-        seq.trace_misses + par.trace_misses,
-        seq.trace_hits,
-        seq.trace_misses
+        "sim memo: {} hits, {} direct runs (sequential pass: {} hits, {} direct runs)",
+        seq.sim_memo_hits + par.sim_memo_hits,
+        seq.sim_direct_runs + par.sim_direct_runs,
+        seq.sim_memo_hits,
+        seq.sim_direct_runs
     );
     println!("report digest: {:016x}", report_digest(&seq_runs));
 

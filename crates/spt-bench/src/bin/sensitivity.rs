@@ -5,11 +5,10 @@
 //! be enough to compensate for the overhead of forking a thread") and its
 //! max-loop-size limit of 1000.
 //!
-//! Every machine point simulates the *same four programs*, so the sweep
-//! runs on the trace backend: each benchmark is compiled once (not once per
-//! point), its baseline simulation is driven by replaying one captured
-//! trace under each machine config, and `.spt-cache/` memoizes everything
-//! across runs. `--compare-direct` re-runs the whole sweep the old way —
+//! Every machine point simulates the *same four programs*, so each
+//! benchmark is compiled once (not once per point) and every simulation goes
+//! through the `.spt-cache/` `SimResult` memo, so a re-run is all file
+//! reads. `--compare-direct` re-runs the whole sweep the plain way —
 //! recompile and direct-simulate at every point — and verifies the numbers
 //! are bit-identical while reporting the wall-clock ratio.
 //!
@@ -32,7 +31,7 @@ struct Prepared {
 }
 
 /// Compiles the sample benchmarks once, in parallel, under `best` with the
-/// given trace settings (so the profile stage itself capture/replays).
+/// given artifact-cache settings.
 fn prepare(trace: &TraceSettings) -> Vec<Prepared> {
     spt_core::parallel::parallel_map(&SAMPLE, |name| {
         let b = spt_bench_suite::benchmark(name)
@@ -52,9 +51,9 @@ fn prepare(trace: &TraceSettings) -> Vec<Prepared> {
     })
 }
 
-/// Geomean speedup across the prepared sample at one machine point, via the
-/// trace backend (baseline sims replay; SPT sims run direct but memoized).
-fn traced_speedups(
+/// Geomean speedup across the prepared sample at one machine point, every
+/// simulation memoized.
+fn memoized_speedups(
     prepared: &[Prepared],
     machine: &MachineConfig,
     trace: &TraceSettings,
@@ -75,9 +74,9 @@ fn traced_speedups(
     geomean(out.iter().map(|&(s, _)| s))
 }
 
-/// The pre-trace-backend implementation: recompile every sample benchmark
-/// and direct-simulate both sides at this machine point. Kept as the oracle
-/// for `--compare-direct`.
+/// The plain implementation: recompile every sample benchmark and
+/// direct-simulate both sides at this machine point. Kept as the oracle for
+/// `--compare-direct`.
 fn direct_speedups(machine: MachineConfig) -> f64 {
     let out = spt_core::parallel::parallel_map(&SAMPLE, |name| {
         let sim = SptSimulator::with_config(machine.clone());
@@ -182,19 +181,17 @@ fn main() {
     let t0 = Instant::now();
     let prepared = prepare(&trace);
     run_sweeps(&mut points, |machine| {
-        traced_speedups(&prepared, machine, &trace, &mut stats)
+        memoized_speedups(&prepared, machine, &trace, &mut stats)
     });
-    let traced_s = t0.elapsed().as_secs_f64();
+    let memoized_s = t0.elapsed().as_secs_f64();
 
     println!(
-        "\ntrace backend: {} machine points over {} programs in {traced_s:.3}s \
-         (cache: {} hits, {} misses; capture {:.3}s, replay {:.3}s)",
+        "\nsim memo: {} machine points over {} programs in {memoized_s:.3}s \
+         ({} memo hits, {} direct runs)",
         points.len(),
         SAMPLE.len(),
-        stats.hits(),
-        stats.misses(),
-        stats.capture_s,
-        stats.replay_s
+        stats.memo_hits,
+        stats.direct_runs
     );
 
     if compare_direct {
@@ -204,18 +201,18 @@ fn main() {
             .map(|(machine, _)| direct_speedups(machine.clone()))
             .collect();
         let direct_s = t1.elapsed().as_secs_f64();
-        for ((machine, traced), direct) in points.iter().zip(&direct) {
+        for ((machine, memoized), direct) in points.iter().zip(&direct) {
             assert_eq!(
-                traced.to_bits(),
+                memoized.to_bits(),
                 direct.to_bits(),
-                "traced speedup diverged from direct re-execution at {machine:?}"
+                "memoized speedup diverged from direct re-execution at {machine:?}"
             );
         }
         println!(
-            "--compare-direct: direct re-execution {direct_s:.3}s vs traced {traced_s:.3}s \
+            "--compare-direct: direct re-execution {direct_s:.3}s vs memoized {memoized_s:.3}s \
              -> {:.2}x; all {} speedups bit-identical: OK",
-            if traced_s > 0.0 {
-                direct_s / traced_s
+            if memoized_s > 0.0 {
+                direct_s / memoized_s
             } else {
                 f64::INFINITY
             },

@@ -61,7 +61,7 @@ pub struct TimedBenchmarkRun {
     pub sim_baseline_s: f64,
     /// SPT simulation seconds.
     pub sim_spt_s: f64,
-    /// Capture/replay/cache statistics of the two simulations.
+    /// Sim-memo statistics of the two simulations.
     pub sim_trace: SimTraceStats,
 }
 
@@ -176,11 +176,10 @@ pub fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// `config` with the trace capture/replay backend switched on over the
-/// shared `.spt-cache/` artifact cache. Results are bit-identical to the
-/// direct path (pinned by `tests/trace_equivalence.rs`); repeated harness
-/// runs replay cached traces instead of re-executing the interpreter and
-/// the baseline simulator.
+/// `config` with the shared `.spt-cache/` artifact cache switched on.
+/// Results are bit-identical to the uncached path (pinned by
+/// `tests/trace_equivalence.rs`); repeated harness runs read simulation
+/// memos and function-analysis units instead of recomputing them.
 pub fn with_trace(mut config: CompilerConfig) -> CompilerConfig {
     config.trace = TraceSettings {
         enabled: true,

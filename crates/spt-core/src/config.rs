@@ -3,24 +3,23 @@
 
 use std::path::PathBuf;
 
-/// Trace capture/replay settings for the pipeline's execution stages.
+/// Artifact-cache settings for the pipeline and the cache-aware
+/// simulation entry points.
 ///
-/// When enabled, the profile stage captures the training run's dynamic
-/// event streams once (a `spt_trace::Trace`) and derives later profiles —
-/// the SVP value-profiling run, the post-rewrite re-profile's inputs — by
-/// replaying that trace instead of re-interpreting the program. With a
-/// `cache_dir`, traces persist across processes in a content-addressed
-/// artifact cache keyed by module IR hash + entry + inputs + format
-/// version, so repeated runs skip capture entirely. Replay is bit-identical
-/// to direct execution (pinned by `tests/trace_equivalence.rs`); any cache
-/// problem degrades to direct execution with a diagnostic, never an error.
+/// The on-disk cache (`.spt-cache/` by convention) is used iff `enabled`
+/// **and** `cache_dir` is set: simulations are memoized as whole
+/// `SimResult`s and pass-1 analyses as function-granular units, both keyed
+/// by content hashes, so a repeated run skips the work. `enabled` without a
+/// `cache_dir` is the same as off. Profiling always interprets the program
+/// directly. Cached results are byte-identical to recomputed ones (pinned
+/// by `tests/trace_equivalence.rs`); a damaged cache file is evicted and
+/// recomputed, never an error.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSettings {
-    /// Capture/replay the profiling run's trace (off by default; direct
-    /// interpretation is used when disabled).
+    /// Use the artifact cache at `cache_dir` (off by default).
     pub enabled: bool,
     /// On-disk artifact cache directory (conventionally `.spt-cache`).
-    /// `None` keeps traces in memory only for the current compile.
+    /// `None` disables the cache whatever `enabled` says.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -54,10 +53,6 @@ pub struct ResourceBudget {
     /// deadline trades determinism for bounded latency, so leave it unset
     /// when byte-identical reports matter.
     pub analysis_deadline_ms: Option<u64>,
-    /// Cap on the in-memory size of a captured execution trace. A capture
-    /// that exceeds it is discarded (with a diagnostic) and the pipeline
-    /// falls back to direct interpretation for that run.
-    pub trace_max_bytes: u64,
 }
 
 impl Default for ResourceBudget {
@@ -67,7 +62,6 @@ impl Default for ResourceBudget {
             search_max_visited: 1_000_000,
             unroll_growth_cap: 64.0,
             analysis_deadline_ms: None,
-            trace_max_bytes: 128 << 20,
         }
     }
 }
@@ -117,7 +111,7 @@ pub struct CompilerConfig {
     pub svp_threshold: f64,
     /// Resource limits with graceful-degradation semantics.
     pub budget: ResourceBudget,
-    /// Trace capture/replay behavior for the execution stages.
+    /// Artifact-cache settings (sim memos, function units).
     pub trace: TraceSettings,
 }
 

@@ -32,11 +32,8 @@ use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module, Ty};
 use spt_partition::{optimal_partition, SearchConfig};
-use spt_profile::{Interp, InterpError, ProfileCollector, Val, ValueProfile};
-use spt_trace::{
-    replay_profile, svp_watch_set, ArtifactCache, CaptureProfiler, FuncAnalysisUnit, LoadOutcome,
-    LoopFragment, ReplayLimits, Trace, WatchSet,
-};
+use spt_profile::{Interp, InterpError, ProfileCollector, Profiler, Val, ValueProfile};
+use spt_trace::{ArtifactCache, FuncAnalysisUnit, LoopFragment};
 use spt_transform::{
     classify_loop, emit_spt_loop, unroll::choose_unroll_factor, unroll_loop, SptLoopSpec,
     UnrollKind,
@@ -213,21 +210,15 @@ pub struct StageTimings {
     /// Total partition-search nodes visited across all analyses (pairs with
     /// `analysis_s` for a nodes-per-second figure).
     pub search_visited: u64,
-    /// Seconds spent capturing execution traces (inside `profile_s`); zero
-    /// when [`crate::TraceSettings::enabled`] is off or every trace came
-    /// from the artifact cache.
+    /// Always 0; kept only because `sptbench/src/layers.rs` reads it.
     pub trace_capture_s: f64,
-    /// Seconds spent replaying traces (profile derivation and the SVP
-    /// value-profiling run; inside `profile_s`/`svp_s`).
+    /// Always 0; kept only because `sptbench/src/layers.rs` reads it.
     pub trace_replay_s: f64,
-    /// Profiling runs served by replaying a cached trace.
+    /// Always 0; kept only because `sptbench/src/layers.rs` reads it.
     pub trace_cache_hits: u64,
-    /// Profiling runs that had to capture (cache miss, corrupt entry, or
-    /// caching disabled) while tracing was enabled.
+    /// Always 0; kept only because `sptbench/src/layers.rs` reads it.
     pub trace_cache_misses: u64,
-    /// Corrupt trace-cache entries detected during this run. The cache
-    /// evicts the bad file on detection, so each count also means the key
-    /// was cleaned back to a Miss for subsequent loads.
+    /// Always 0; kept only because `sptbench/src/layers.rs` reads it.
     pub trace_cache_evictions: u64,
     /// Function-granular units considered (one per function per analysis
     /// pass; the SVP re-analysis counts again). Zero when the run had no
@@ -352,8 +343,7 @@ fn transform_scratch(
     let t = std::time::Instant::now();
     let mut interp = Interp::new(module);
     interp.fuel = config.budget.interp_fuel;
-    let (mut collector, trace_bundle) =
-        collect_profile(module, &interp, input, config, &mut diags, &mut timings)?;
+    let mut collector = collect_profile(&interp, input)?;
     timings.profile_s = t.elapsed().as_secs_f64();
 
     // Superblock-tier observability: when the profiling engine runs fused
@@ -391,58 +381,7 @@ fn transform_scratch(
         } else {
             let mut vp = ValueProfile::new(targets.iter().copied());
             vp.threshold = config.svp_threshold;
-            // Value-profile by replaying the stage-3 trace when one exists
-            // and carries every target's def values (svp_watch_set is a
-            // superset of svp_targets, so this holds whenever a trace was
-            // captured); otherwise re-run the interpreter.
-            let mut replayed = false;
-            if let Some(bundle) = &trace_bundle {
-                if targets.iter().all(|&(f, i, _)| bundle.watch.contains(f, i)) {
-                    let tr = std::time::Instant::now();
-                    let initial = input
-                        .memory
-                        .clone()
-                        .unwrap_or_else(|| interp.initial_memory());
-                    let limits = ReplayLimits {
-                        fuel: config.budget.interp_fuel,
-                        ..ReplayLimits::default()
-                    };
-                    match replay_profile(
-                        interp.decoded(),
-                        bundle.entry,
-                        &bundle.trace,
-                        &bundle.watch,
-                        initial,
-                        &mut vp,
-                        limits,
-                    ) {
-                        Ok(_) => {
-                            timings.trace_replay_s += tr.elapsed().as_secs_f64();
-                            replayed = true;
-                        }
-                        Err(e) => {
-                            vp = ValueProfile::new(targets.iter().copied());
-                            vp.threshold = config.svp_threshold;
-                            diags.push(Diagnostic::global(
-                                Stage::Svp,
-                                Severity::Warning,
-                                format!(
-                                    "trace replay for value profiling failed ({e}); \
-                                     re-running the interpreter"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            if !replayed {
-                match &input.memory {
-                    Some(mem) => {
-                        interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut vp)?
-                    }
-                    None => interp.run(&input.entry, &input.args, &mut vp)?,
-                };
-            }
+            run_profiled(&interp, input, &mut vp)?;
             drop(interp);
             svp_rewrite(module, loop_phis, &vp, &mut svp_headers, &mut diags)
         };
@@ -455,13 +394,9 @@ fn transform_scratch(
             spt_ir::verify::verify_module(module)
                 .map_err(|e| PipelineError::Verify(e.to_string()))?;
             let t = std::time::Instant::now();
-            // The rewrite changed the module (new content hash), so this
-            // re-profile gets its own trace capture/cache entry; the stage-3
-            // bundle no longer applies.
             let mut reinterp = Interp::new(module);
             reinterp.fuel = config.budget.interp_fuel;
-            collector =
-                collect_profile(module, &reinterp, input, config, &mut diags, &mut timings)?.0;
+            collector = collect_profile(&reinterp, input)?;
             drop(reinterp);
             timings.profile_s += t.elapsed().as_secs_f64();
             let t = std::time::Instant::now();
@@ -834,181 +769,33 @@ fn preprocess(
     }
 }
 
-/// A trace captured (or cache-loaded) by the profile stage, kept so later
-/// stages can replay it instead of re-interpreting the module it came from.
-struct TraceBundle {
-    trace: Trace,
-    watch: WatchSet,
-    entry: FuncId,
-}
-
-/// Loads a trace from the artifact cache, with a fail-point site
-/// (`trace::cache_load`) that tests use to force a corrupt-entry outcome and
-/// exercise the capture fallback. `Panic`/`Delay` actions behave as at any
-/// other site; `Error` maps to [`LoadOutcome::Corrupt`] because a broken
-/// cache must degrade, never fail the compile.
-fn load_trace_guarded(cache: &ArtifactCache, key: u64) -> LoadOutcome<Trace> {
-    #[cfg(feature = "failpoints")]
-    if let Some(act) = crate::failpoint::eval("trace::cache_load", &format!("{key:016x}")) {
-        match act {
-            crate::failpoint::Action::Panic(msg) => {
-                panic!("failpoint trace::cache_load [{key:016x}]: {msg}")
-            }
-            crate::failpoint::Action::Delay(ms) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            crate::failpoint::Action::Error(msg) => {
-                return LoadOutcome::Corrupt(format!("failpoint: {msg}"));
-            }
-        }
-    }
-    cache.load_trace(key)
-}
-
 /// One profiling run with the full collector against an already-built
 /// interpreter.
-///
-/// With [`crate::TraceSettings::enabled`] off this is a plain interpreter
-/// run. With it on, the run's dynamic event streams are captured once into a
-/// [`Trace`] (or, with a cache directory configured and a prior run's trace
-/// on disk, the profile is *derived* by replaying the cached trace with no
-/// interpretation at all), and the trace rides along in the returned
-/// [`TraceBundle`] for later stages to replay. Every trace problem — corrupt
-/// cache entry, replay desync, capture over budget — degrades to direct
-/// execution with a [`Diagnostic`], never an error.
 fn collect_profile(
-    module: &Module,
     interp: &Interp<'_>,
     input: &ProfilingInput,
-    config: &CompilerConfig,
-    diags: &mut Vec<Diagnostic>,
-    timings: &mut StageTimings,
-) -> Result<(ProfileCollector, Option<TraceBundle>), PipelineError> {
+) -> Result<ProfileCollector, PipelineError> {
     crate::fail_point!("pipeline::profile", &input.entry, |msg: String| {
         PipelineError::Interp(InterpError::Malformed(format!("failpoint: {msg}")))
     });
-    let entry = if config.trace.enabled {
-        module.func_by_name(&input.entry)
-    } else {
-        None
-    };
-    let Some(entry) = entry else {
-        // Tracing off — or the entry doesn't exist, in which case the plain
-        // run below surfaces the interpreter's canonical error.
-        let mut collector = ProfileCollector::new();
-        match &input.memory {
-            Some(mem) => {
-                interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut collector)?
-            }
-            None => interp.run(&input.entry, &input.args, &mut collector)?,
-        };
-        return Ok((collector, None));
-    };
+    let mut collector = ProfileCollector::new();
+    run_profiled(interp, input, &mut collector)?;
+    Ok(collector)
+}
 
-    let watch = svp_watch_set(module);
-    let module_hash = module.content_hash();
-    let cache = config.trace.cache_dir.as_ref().map(ArtifactCache::new);
-    let arg_bits: Vec<u64> = input.args.iter().map(|v| v.0).collect();
-    let key = ArtifactCache::trace_key(
-        module_hash,
-        &input.entry,
-        &arg_bits,
-        watch.hash(),
-        ArtifactCache::memory_hash(input.memory.as_deref()),
-    );
-
-    if let Some(cache) = &cache {
-        match load_trace_guarded(cache, key) {
-            LoadOutcome::Hit(trace) => {
-                let t = std::time::Instant::now();
-                let mut collector = ProfileCollector::new();
-                let initial = input
-                    .memory
-                    .clone()
-                    .unwrap_or_else(|| interp.initial_memory());
-                let limits = ReplayLimits {
-                    fuel: config.budget.interp_fuel,
-                    ..ReplayLimits::default()
-                };
-                match replay_profile(
-                    interp.decoded(),
-                    entry,
-                    &trace,
-                    &watch,
-                    initial,
-                    &mut collector,
-                    limits,
-                ) {
-                    Ok(_) => {
-                        timings.trace_replay_s += t.elapsed().as_secs_f64();
-                        timings.trace_cache_hits += 1;
-                        return Ok((
-                            collector,
-                            Some(TraceBundle {
-                                trace,
-                                watch,
-                                entry,
-                            }),
-                        ));
-                    }
-                    Err(e) => {
-                        diags.push(Diagnostic::global(
-                            Stage::Profile,
-                            Severity::Warning,
-                            format!("cached trace unusable ({e}); re-capturing"),
-                        ));
-                    }
-                }
-            }
-            LoadOutcome::Miss => {}
-            LoadOutcome::Corrupt(why) => {
-                timings.trace_cache_evictions += 1;
-                diags.push(Diagnostic::global(
-                    Stage::Profile,
-                    Severity::Warning,
-                    format!("trace cache entry corrupt ({why}); evicted, re-capturing"),
-                ));
-            }
-        }
-    }
-
-    // Capture path: one direct run, recorded.
-    timings.trace_cache_misses += 1;
-    let t = std::time::Instant::now();
-    let mut cap = CaptureProfiler::new(
-        ProfileCollector::new(),
-        watch.clone(),
-        config.budget.trace_max_bytes,
-    );
-    let result = match &input.memory {
-        Some(mem) => interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut cap)?,
-        None => interp.run(&input.entry, &input.args, &mut cap)?,
-    };
-    let poisoned = cap.poisoned();
-    let (trace, collector) = cap.finish(&result, module_hash, &input.entry, &input.args);
-    timings.trace_capture_s += t.elapsed().as_secs_f64();
-    if poisoned {
-        diags.push(Diagnostic::global(
-            Stage::Profile,
-            Severity::Warning,
-            format!(
-                "trace capture exceeded the {}-byte budget and was discarded; \
-                 later runs fall back to direct interpretation",
-                config.budget.trace_max_bytes
-            ),
-        ));
-    }
-    if let (Some(trace), Some(cache)) = (&trace, &cache) {
-        cache.store_trace(key, trace);
-    }
-    Ok((
-        collector,
-        trace.map(|trace| TraceBundle {
-            trace,
-            watch,
-            entry,
-        }),
-    ))
+/// Runs the profiling input once against an already-built interpreter,
+/// feeding `profiler`.
+fn run_profiled<P: Profiler>(
+    interp: &Interp<'_>,
+    input: &ProfilingInput,
+    profiler: &mut P,
+) -> Result<(), PipelineError> {
+    let memory = input
+        .memory
+        .clone()
+        .unwrap_or_else(|| interp.initial_memory());
+    interp.run_with_memory(&input.entry, &input.args, memory, profiler)?;
+    Ok(())
 }
 
 /// Pass 1 over every loop of every function. Loop analyses are mutually

@@ -133,7 +133,7 @@ impl From<&GeneratedProgram> for ProgramUnderTest {
 /// Which oracles to run and with what pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Base pipeline configuration (trace settings are overridden per
+    /// Base pipeline configuration (artifact-cache settings are overridden per
     /// sub-oracle).
     pub config: CompilerConfig,
     /// Run the `SPT_THREADS`-invariance oracle (takes the global lock).
@@ -360,13 +360,14 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
                         });
                     }
                     if expect_hits
-                        && c.timings.trace_cache_hits == 0
-                        && c.timings.trace_cache_misses > 0
+                        && c.timings.func_analysis_hits == 0
+                        && c.timings.func_analysis_misses > 0
                     {
                         failures.push(Failure {
                             kind: OracleKind::CacheDivergence,
-                            detail: "warm compile re-captured every trace (cache never hit)"
-                                .to_string(),
+                            detail:
+                                "warm compile re-analyzed every function (unit cache never hit)"
+                                    .to_string(),
                         });
                     }
                 }

@@ -662,7 +662,6 @@ impl<'m> Interp<'m> {
                     } => {
                         let taken = dval(*cond, &values).is_truthy();
                         let target = if taken { *then_bb } else { *else_bb };
-                        state.profiler.on_branch(func_id, i, taken);
                         self.retire(func_id, i, latency, &loop_stack, state)?;
                         state.profiler.on_block(func_id, Some(block), target);
                         from = Some(block);

@@ -173,13 +173,6 @@ pub trait Profiler {
     /// A value-producing instruction defined `value`.
     fn on_def(&mut self, func: FuncId, inst: InstId, value: Val, loops: &[LoopActivation]) {}
 
-    /// A conditional branch resolved its direction (`taken` = the `then`
-    /// target was chosen). Fired before the branch retires; `on_block`
-    /// reports the resulting transfer separately. Trace capture consumes
-    /// this — `on_block` alone cannot recover the direction when both
-    /// branch targets are the same block.
-    fn on_branch(&mut self, func: FuncId, inst: InstId, taken: bool) {}
-
     /// A loop transition occurred in `func`.
     fn on_loop(&mut self, func: FuncId, event: LoopEvent, loops: &[LoopActivation]) {}
 
@@ -551,7 +544,6 @@ impl<'m> Interp<'m> {
                     } => {
                         let taken = dval(*cond, &values).is_truthy();
                         let target = if taken { *then_bb } else { *else_bb };
-                        state.profiler.on_branch(func_id, i, taken);
                         self.retire(func_id, i, latency, &loop_stack, state)?;
                         state.profiler.on_block(func_id, Some(block), target);
                         from = Some(block);

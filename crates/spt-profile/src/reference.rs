@@ -282,7 +282,6 @@ impl<'m> ReferenceInterp<'m> {
                         let c = self.operand(*cond, &values);
                         let taken = c.is_truthy();
                         let target = if taken { *then_bb } else { *else_bb };
-                        state.profiler.on_branch(func_id, i, taken);
                         self.retire(func_id, i, latency, &loop_stack, state)?;
                         state.profiler.on_block(func_id, Some(block), target);
                         from = Some(block);

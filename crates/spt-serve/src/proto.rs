@@ -4,7 +4,7 @@
 //! little-endian payload length followed by the payload. Frames are
 //! independent — a client may pipeline several requests and the daemon may
 //! answer them out of order, so every request carries a caller-chosen `id`
-//! that its response echoes. Payloads reuse the trace codec's primitives
+//! that its response echoes. Payloads reuse the artifact codec's primitives
 //! ([`spt_trace::codec`]): LEB128 varints, zigzag for signed values,
 //! varint-length-prefixed UTF-8 strings and byte blobs; `f64`s travel as
 //! their fixed 8-byte little-endian bit patterns so timings round-trip
@@ -155,7 +155,7 @@ pub struct CompileResp {
 }
 
 /// Sim result: the compile rendering plus both simulation outcomes,
-/// encoded with the trace cache's `SimResult` codec.
+/// encoded with the artifact cache's `SimResult` codec.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimResp {
     /// `format!("{:?}", CompilationReport)` for the unit that was simulated.
@@ -300,8 +300,37 @@ fn put_machine(out: &mut Vec<u8>, m: &MachineConfig) {
     put_varint(out, m.cache.memory_latency);
 }
 
+/// Most tag slots (`sets * ways`) a decoded machine may ask one simulated
+/// cache level for — far above every configuration in the repository (the
+/// default L2 has 2^11). The simulator allocates all slots up front, so an
+/// unchecked geometry from the wire could abort the daemon on allocation.
+const MAX_CACHE_TAG_SLOTS: usize = 1 << 20;
+
+/// Rejects cache geometries the simulator cannot honour: a zero line size,
+/// set count or associativity (division by zero, empty sets), or more than
+/// [`MAX_CACHE_TAG_SLOTS`] tag slots per level.
+fn check_cache_geometry(c: &CacheConfig) -> Result<(), String> {
+    for (level, line_cells, sets, ways) in [
+        ("l1", c.l1_line_cells, c.l1_sets, c.l1_ways),
+        ("l2", c.l2_line_cells, c.l2_sets, c.l2_ways),
+    ] {
+        if line_cells == 0 || sets == 0 || ways == 0 {
+            return Err(format!("{level} cache geometry has a zero field"));
+        }
+        if sets
+            .checked_mul(ways)
+            .is_none_or(|n| n > MAX_CACHE_TAG_SLOTS)
+        {
+            return Err(format!(
+                "{level} cache asks for more than {MAX_CACHE_TAG_SLOTS} tag slots"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn get_machine(buf: &[u8], pos: &mut usize) -> Result<MachineConfig, String> {
-    Ok(MachineConfig {
+    let machine = MachineConfig {
         fork_overhead: need(buf, pos)?,
         commit_overhead: need(buf, pos)?,
         branch_mispredict_penalty: need(buf, pos)?,
@@ -320,7 +349,9 @@ fn get_machine(buf: &[u8], pos: &mut usize) -> Result<MachineConfig, String> {
             l2_latency: need(buf, pos)?,
             memory_latency: need(buf, pos)?,
         },
-    })
+    };
+    check_cache_geometry(&machine.cache)?;
+    Ok(machine)
 }
 
 fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
@@ -821,5 +852,67 @@ mod tests {
         });
         bytes.push(0xff);
         assert!(decode_request(&bytes).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn hostile_cache_geometry_is_rejected() {
+        let sim_request = |cache: CacheConfig| {
+            encode_request(&Request {
+                id: 9,
+                body: ReqBody::Sim(SimReq {
+                    source: "x".to_string(),
+                    entry: "main".to_string(),
+                    train: 1,
+                    arg: 1,
+                    config_id: 0,
+                    machine: MachineConfig {
+                        cache,
+                        ..MachineConfig::default()
+                    },
+                }),
+            })
+        };
+        let d = CacheConfig::default();
+        let hostile = [
+            CacheConfig { l1_sets: 0, ..d },
+            CacheConfig { l1_ways: 0, ..d },
+            CacheConfig {
+                l1_line_cells: 0,
+                ..d
+            },
+            CacheConfig { l2_sets: 0, ..d },
+            CacheConfig { l2_ways: 0, ..d },
+            CacheConfig {
+                l2_line_cells: 0,
+                ..d
+            },
+            // 2^33 sets: 64 GiB of tag slots if allocated.
+            CacheConfig {
+                l1_sets: 1 << 33,
+                ..d
+            },
+            CacheConfig {
+                l2_sets: MAX_CACHE_TAG_SLOTS,
+                l2_ways: 2,
+                ..d
+            },
+            // sets * ways overflows usize.
+            CacheConfig {
+                l2_sets: usize::MAX,
+                l2_ways: usize::MAX,
+                ..d
+            },
+        ];
+        for cache in hostile {
+            let err = decode_request(&sim_request(cache.clone())).unwrap_err();
+            assert!(err.contains("cache"), "{cache:?}: {err}");
+        }
+        // The largest admitted geometry still decodes.
+        let edge = CacheConfig {
+            l1_sets: MAX_CACHE_TAG_SLOTS,
+            l1_ways: 1,
+            ..d
+        };
+        assert!(decode_request(&sim_request(edge)).is_ok());
     }
 }

@@ -9,8 +9,8 @@
 //!   configuration + profiling input, and **`SimResult`s** keyed by the
 //!   artifact cache's own sim key (module hash + entry + args + machine);
 //! * the byte-budgeted on-disk [`ArtifactCache`] (`.spt-cache/` tier) that
-//!   traces and simulation memos persist through, shared with the one-shot
-//!   CLI so a daemon warm-up also warms `sptc`;
+//!   simulation memos and function units persist through, shared with the
+//!   one-shot CLI so a daemon warm-up also warms `sptc`;
 //! * a **single-flight** table: concurrent requests for the same unit key
 //!   elect one leader to run the pipeline while the rest block on its
 //!   result, so N identical cold requests cost exactly one compile;
@@ -20,7 +20,7 @@
 //!
 //! Everything is keyed by content, so the service never invalidates: a new
 //! source, configuration, or machine model is a new key. Determinism: the
-//! pipeline's reports are byte-identical across thread counts and trace
+//! pipeline's reports are byte-identical across thread counts and cache
 //! settings (pinned by `tests/trace_equivalence.rs` and the report contract
 //! in `spt-core`), so a response assembled from any mix of tiers is
 //! byte-identical to a cold single-process compile — `sptd` can never serve
@@ -48,7 +48,7 @@ use crate::sim::{sim_with_cache_in, SimTraceStats};
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Directory of the on-disk artifact tier; `None` disables disk caching
-    /// (and trace capture/replay) entirely.
+    /// entirely.
     pub cache_dir: Option<PathBuf>,
     /// Byte bound on the disk tier; enforced after every store by evicting
     /// oldest artifacts first. `None` = unbounded (the one-shot CLI
@@ -132,8 +132,6 @@ struct Counters {
     flights_led: AtomicU64,
     flights_joined: AtomicU64,
     disk_memo_hits: AtomicU64,
-    disk_trace_hits: AtomicU64,
-    disk_captures: AtomicU64,
     disk_direct_runs: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
 }
@@ -154,8 +152,6 @@ impl Default for Counters {
             flights_led: AtomicU64::new(0),
             flights_joined: AtomicU64::new(0),
             disk_memo_hits: AtomicU64::new(0),
-            disk_trace_hits: AtomicU64::new(0),
-            disk_captures: AtomicU64::new(0),
             disk_direct_runs: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -232,7 +228,8 @@ impl CompileService {
         &self.func_cache
     }
 
-    /// The service's trace settings (what `sim_with_cache` would see).
+    /// The service's artifact-cache settings (what `sim_with_cache` would
+    /// see).
     pub fn trace_settings(&self) -> &TraceSettings {
         &self.trace
     }
@@ -455,9 +452,6 @@ impl CompileService {
         let c = &self.counters;
         c.disk_memo_hits
             .fetch_add(stats.memo_hits, Ordering::Relaxed);
-        c.disk_trace_hits
-            .fetch_add(stats.trace_hits, Ordering::Relaxed);
-        c.disk_captures.fetch_add(stats.captures, Ordering::Relaxed);
         c.disk_direct_runs
             .fetch_add(stats.direct_runs, Ordering::Relaxed);
         let bytes = sim_to_bytes(&result).len() as u64;
@@ -549,8 +543,6 @@ impl CompileService {
             ("flights_led", c.flights_led.load(Ordering::Relaxed)),
             ("flights_joined", c.flights_joined.load(Ordering::Relaxed)),
             ("disk_memo_hits", c.disk_memo_hits.load(Ordering::Relaxed)),
-            ("disk_trace_hits", c.disk_trace_hits.load(Ordering::Relaxed)),
-            ("disk_captures", c.disk_captures.load(Ordering::Relaxed)),
             (
                 "disk_direct_runs",
                 c.disk_direct_runs.load(Ordering::Relaxed),

@@ -1,24 +1,25 @@
 //! The content-addressed on-disk artifact cache (`.spt-cache/`).
 //!
-//! Artifacts are keyed by a hash over everything that determines their
-//! content: module IR content hash, entry name, arguments, watched-def set,
-//! memory-image override, machine configuration (for simulation memos) and
-//! the trace format version. A key therefore *is* the artifact identity —
-//! files are immutable once written, and any IR or input change produces a
-//! new key rather than invalidating in place.
+//! Two artifact kinds live here: `SimResult` memos (`sim-*.bin`) and
+//! function-analysis units (`func-*.bin`). Each is keyed by a hash over
+//! everything that determines its content — for a sim memo the module IR
+//! content hash, entry name, arguments, machine configuration and the memo
+//! format version. A key therefore *is* the artifact identity: files are
+//! immutable once written, and any IR or input change produces a new key
+//! rather than invalidating in place.
 //!
 //! Robustness contract: a missing file is a [`LoadOutcome::Miss`]; any
 //! unreadable, truncated, corrupt or stale-version file is a
-//! [`LoadOutcome::Corrupt`] that callers treat as "warn and fall back to
-//! direct execution" — never a panic, never a poisoned result. A corrupt
-//! file is additionally **evicted on detection**: keys are content
-//! addresses, so the only way a key can hold bad bytes is a torn or damaged
-//! write, and deleting it turns every subsequent probe into a clean
-//! [`LoadOutcome::Miss`] that re-captures and re-stores — one bad file can
-//! never permanently poison its key. Stores are atomic (unique temp file +
-//! rename) so parallel writers and killed processes can only ever leave
-//! whole files or invisible temp droppings, and store errors are silently
-//! ignored (the cache is an accelerator, not a source of truth).
+//! [`LoadOutcome::Corrupt`] that callers treat as "recompute directly" —
+//! never a panic, never a poisoned result. A corrupt file is additionally
+//! **evicted on detection**: keys are content addresses, so the only way a
+//! key can hold bad bytes is a torn or damaged write, and deleting it turns
+//! every subsequent probe into a clean [`LoadOutcome::Miss`] that
+//! recomputes and re-stores — one bad file can never permanently poison its
+//! key. Stores are atomic (unique temp file + rename, the temp file removed
+//! on any failure) so parallel writers can only ever leave whole files, and
+//! store errors are silently ignored (the cache is an accelerator, not a
+//! source of truth).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,10 +29,14 @@ use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 
 use crate::codec::{get_varint, put_varint, Fnv};
 use crate::func_unit::{FuncAnalysisUnit, FUNC_UNIT_FORMAT_VERSION};
-use crate::trace::{Trace, TRACE_FORMAT_VERSION};
 
 /// Magic prefix of simulation-memo artifact files.
 const SIM_MAGIC: &[u8; 8] = b"SPTSIMRS";
+
+/// Bumped on any change to the sim-memo encoding; folded into every
+/// sim-memo key and written into every memo file, so stale-format entries
+/// simply miss (or, read under a colliding key, decode as `Corrupt`).
+const SIM_FORMAT_VERSION: u32 = 1;
 
 /// Uniquifier for temp-file names within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -132,36 +137,13 @@ impl ArtifactCache {
         &self.dir
     }
 
-    /// Key for an interpreter trace: module IR, entry, args, watched-def
-    /// set, initial-memory override and format version all participate.
-    pub fn trace_key(
-        module_hash: u64,
-        entry: &str,
-        args: &[u64],
-        watch_hash: u64,
-        memory_hash: u64,
-    ) -> u64 {
-        let mut h = Fnv::new();
-        h.update(b"trace");
-        h.update_u64(TRACE_FORMAT_VERSION as u64);
-        h.update_u64(module_hash);
-        h.update(entry.as_bytes());
-        h.update_u64(args.len() as u64);
-        for &a in args {
-            h.update_u64(a);
-        }
-        h.update_u64(watch_hash);
-        h.update_u64(memory_hash);
-        h.finish()
-    }
-
     /// Key for a simulation-result memo. The machine configuration enters
     /// through its canonical `Debug` rendering, so any parameter change —
     /// including future fields — changes the key.
     pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineConfig) -> u64 {
         let mut h = Fnv::new();
         h.update(b"sim");
-        h.update_u64(TRACE_FORMAT_VERSION as u64);
+        h.update_u64(SIM_FORMAT_VERSION as u64);
         h.update_u64(module_hash);
         h.update(entry.as_bytes());
         h.update_u64(args.len() as u64);
@@ -170,22 +152,6 @@ impl ArtifactCache {
         }
         h.update(format!("{machine:?}").as_bytes());
         h.finish()
-    }
-
-    /// Content hash of an initial-memory override (0 when the module's own
-    /// initial image is used).
-    pub fn memory_hash(memory: Option<&[u64]>) -> u64 {
-        match memory {
-            None => 0,
-            Some(m) => {
-                let mut h = Fnv::new();
-                h.update_u64(m.len() as u64);
-                for &w in m {
-                    h.update_u64(w);
-                }
-                h.finish()
-            }
-        }
     }
 
     fn path_for(&self, kind: &str, key: u64) -> PathBuf {
@@ -204,9 +170,7 @@ impl ArtifactCache {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        } else {
+        if write_atomic(&tmp, path, bytes) {
             self.counters.stores.fetch_add(1, Ordering::Relaxed);
         }
         self.enforce_budget();
@@ -289,27 +253,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Probe for a trace under `key`.
-    pub fn load_trace(&self, key: u64) -> LoadOutcome<Trace> {
-        let path = self.path_for("trace", key);
-        match self.load_bytes(&path) {
-            LoadOutcome::Hit(bytes) => match Trace::from_bytes(&bytes) {
-                Ok(t) => LoadOutcome::Hit(t),
-                Err(e) => {
-                    self.evict(&path);
-                    LoadOutcome::Corrupt(format!("{}: {e}", path.display()))
-                }
-            },
-            LoadOutcome::Miss => LoadOutcome::Miss,
-            LoadOutcome::Corrupt(e) => LoadOutcome::Corrupt(e),
-        }
-    }
-
-    /// Store a trace under `key`.
-    pub fn store_trace(&self, key: u64, trace: &Trace) {
-        self.store_bytes(&self.path_for("trace", key), &trace.to_bytes());
-    }
-
     /// Probe for a simulation-result memo under `key`.
     pub fn load_sim(&self, key: u64) -> LoadOutcome<SimResult> {
         let path = self.path_for("sim", key);
@@ -370,6 +313,18 @@ impl ArtifactCache {
     }
 }
 
+/// Writes `bytes` to `tmp` and renames it over `path`. Returns whether the
+/// rename completed; on any failure the temp file is removed, so a failed
+/// store leaves no dropping behind (droppings are invisible to the byte
+/// budget and would otherwise grow without bound).
+fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> bool {
+    let stored = std::fs::write(tmp, bytes).is_ok() && std::fs::rename(tmp, path).is_ok();
+    if !stored {
+        let _ = std::fs::remove_file(tmp);
+    }
+    stored
+}
+
 /// Canonical bit-exact byte encoding of a [`SimResult`] — the same format
 /// the sim-memo artifact files use. The compile service's wire protocol
 /// reuses it so daemon-served results are byte-comparable to local ones.
@@ -391,7 +346,7 @@ pub fn sim_from_bytes(bytes: &[u8]) -> Result<SimResult, String> {
 fn encode_sim(r: &SimResult) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + r.memory.len() * 3);
     out.extend_from_slice(SIM_MAGIC);
-    put_varint(&mut out, TRACE_FORMAT_VERSION as u64);
+    put_varint(&mut out, SIM_FORMAT_VERSION as u64);
     match r.ret {
         Some(v) => {
             out.push(1);
@@ -453,9 +408,9 @@ fn decode_sim(buf: &[u8]) -> Result<SimResult, String> {
     let mut pos = SIM_MAGIC.len();
     let take = |pos: &mut usize| get_varint(body, pos).ok_or("sim memo truncated");
     let version = take(&mut pos)?;
-    if version != TRACE_FORMAT_VERSION as u64 {
+    if version != SIM_FORMAT_VERSION as u64 {
         return Err(format!(
-            "stale sim memo version {version} (expected {TRACE_FORMAT_VERSION})"
+            "stale sim memo version {version} (expected {SIM_FORMAT_VERSION})"
         ));
     }
     let ret = match body.get(pos).copied().ok_or("sim memo truncated")? {
@@ -471,13 +426,15 @@ fn decode_sim(buf: &[u8]) -> Result<SimResult, String> {
     };
     let cycles = take(&mut pos)?;
     let insts = take(&mut pos)?;
+    // Every element takes at least one byte, so the bytes that remain bound
+    // any honest count: a lying count cannot force a large reservation.
     let mem_len = take(&mut pos)? as usize;
-    let mut memory = Vec::with_capacity(mem_len.min(1 << 24));
+    let mut memory = Vec::with_capacity(mem_len.min(body.len() - pos));
     for _ in 0..mem_len {
         memory.push(take(&mut pos)?);
     }
     let nloops = take(&mut pos)? as usize;
-    let mut loops = std::collections::HashMap::with_capacity(nloops.min(1 << 16));
+    let mut loops = std::collections::HashMap::with_capacity(nloops.min(body.len() - pos));
     for _ in 0..nloops {
         let tag = take(&mut pos)? as u32;
         let mut f = [0u64; 10];
@@ -620,18 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_trace_is_evicted_to_miss() {
-        let cache = ArtifactCache::new(temp_dir("corrupt-trace"));
-        let path = cache.path_for("trace", 11);
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        std::fs::write(&path, b"not a trace at all").unwrap();
-        assert!(matches!(cache.load_trace(11), LoadOutcome::Corrupt(_)));
-        assert!(!path.exists(), "corrupt trace should have been deleted");
-        assert!(matches!(cache.load_trace(11), LoadOutcome::Miss));
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn byte_budget_evicts_least_recently_used_first() {
         let dir = temp_dir("budget");
         let r = sample_sim();
@@ -749,22 +694,189 @@ mod tests {
 
     #[test]
     fn keys_separate_inputs() {
-        let k1 = ArtifactCache::trace_key(1, "main", &[5], 0, 0);
-        assert_ne!(k1, ArtifactCache::trace_key(2, "main", &[5], 0, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "other", &[5], 0, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "main", &[6], 0, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "main", &[5], 1, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "main", &[5], 0, 1));
         let m1 = MachineConfig::default();
         let mut m2 = MachineConfig::default();
         m2.fork_overhead += 1;
-        assert_ne!(
-            ArtifactCache::sim_key(1, "main", &[5], &m1),
-            ArtifactCache::sim_key(1, "main", &[5], &m2)
-        );
+        let k1 = ArtifactCache::sim_key(1, "main", &[5], &m1);
+        assert_ne!(k1, ArtifactCache::sim_key(2, "main", &[5], &m1));
+        assert_ne!(k1, ArtifactCache::sim_key(1, "other", &[5], &m1));
+        assert_ne!(k1, ArtifactCache::sim_key(1, "main", &[6], &m1));
+        assert_ne!(k1, ArtifactCache::sim_key(1, "main", &[5], &m2));
         let f1 = ArtifactCache::func_unit_key(10, 0, 99);
         assert_ne!(f1, ArtifactCache::func_unit_key(11, 0, 99));
         assert_ne!(f1, ArtifactCache::func_unit_key(10, 1, 99));
         assert_ne!(f1, ArtifactCache::func_unit_key(10, 0, 98));
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file_and_reports_failure() {
+        let dir = temp_dir("write-fail");
+        // The temp path's directory does not exist: the write itself fails.
+        let tmp = dir.join("missing").join(".tmp-x");
+        assert!(!write_atomic(&tmp, &dir.join("sim-1.bin"), b"bytes"));
+        assert!(!tmp.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_rename_is_not_counted_and_leaves_no_dropping() {
+        let cache = ArtifactCache::new(temp_dir("store-fail"));
+        // A non-empty directory at the target path: the temp write succeeds,
+        // the rename over it fails.
+        std::fs::create_dir_all(cache.path_for("sim", 1).join("occupied")).unwrap();
+        cache.store_sim(1, &sample_sim());
+        assert_eq!(cache.counters().stores.load(Ordering::Relaxed), 0);
+        let droppings = std::fs::read_dir(cache.dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+            .count();
+        assert_eq!(droppings, 0, "failed store leaked a temp file");
+        cache.store_sim(2, &sample_sim());
+        assert_eq!(cache.counters().stores.load(Ordering::Relaxed), 1);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    fn sample_unit() -> FuncAnalysisUnit {
+        FuncAnalysisUnit {
+            fragments: vec![crate::func_unit::LoopFragment {
+                header: 2,
+                parent_header: Some(1),
+                canonical: true,
+                cost_bits: 1.25f64.to_bits(),
+                move_insts: vec![0, 3],
+                replicate_insts: vec![7],
+                ..Default::default()
+            }],
+        }
+    }
+
+    /// Every truncation of `good` and every single-bit flip of it.
+    fn damaged_variants(good: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
+        for bit in 0..good.len() * 8 {
+            let mut b = good.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            out.push(b);
+        }
+        out
+    }
+
+    /// `good` with the varint at byte offset `at` replaced by `lie` and the
+    /// trailing checksum recomputed, so the count is the only damage.
+    fn with_lying_count(good: &[u8], at: usize, lie: u64) -> Vec<u8> {
+        let body = &good[..good.len() - 8];
+        let mut end = at;
+        get_varint(body, &mut end).unwrap();
+        let mut out = body[..at].to_vec();
+        put_varint(&mut out, lie);
+        out.extend_from_slice(&body[end..]);
+        let mut h = Fnv::new();
+        h.update(&out);
+        out.extend_from_slice(&h.finish().to_le_bytes());
+        out
+    }
+
+    /// Count values to lie with: a seeded SplitMix64 stream spread over
+    /// every magnitude, plus the edges. The true count is filtered out.
+    fn lies(truth: u64) -> Vec<u64> {
+        let mut state: u64 = 0x5eed;
+        let mut out = vec![0, 1, truth + 1, 1 << 20, 1 << 40, u64::MAX];
+        for _ in 0..16 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            out.push(z >> (z % 64));
+        }
+        out.retain(|&v| v != truth);
+        out
+    }
+
+    /// Offset of the `n`-th varint after `start`, skipping one raw tag byte
+    /// at each offset listed in `tags`.
+    fn varint_offset(buf: &[u8], start: usize, n: usize, tags: &[usize]) -> usize {
+        let mut pos = start;
+        for i in 0..n {
+            if tags.contains(&i) {
+                pos += 1;
+            }
+            get_varint(buf, &mut pos).unwrap();
+        }
+        pos
+    }
+
+    /// Writes each variant as the file under `key`; every load must be
+    /// `Corrupt` (never a `Hit`, never a panic) and the probe after it a
+    /// clean `Miss`.
+    fn assert_every_variant_corrupt<T: std::fmt::Debug>(
+        cache: &ArtifactCache,
+        kind: &str,
+        key: u64,
+        variants: &[Vec<u8>],
+        load: impl Fn(&ArtifactCache, u64) -> LoadOutcome<T>,
+    ) {
+        let path = cache.path_for(kind, key);
+        for (i, bytes) in variants.iter().enumerate() {
+            std::fs::write(&path, bytes).unwrap();
+            match load(cache, key) {
+                LoadOutcome::Corrupt(_) => {}
+                other => panic!("{kind} variant {i} ({} bytes): got {other:?}", bytes.len()),
+            }
+            assert!(
+                matches!(load(cache, key), LoadOutcome::Miss),
+                "{kind} variant {i}: damaged file survived its Corrupt load"
+            );
+        }
+    }
+
+    #[test]
+    fn damaged_sim_memos_load_corrupt_then_miss() {
+        let cache = ArtifactCache::new(temp_dir("sim-damage"));
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        let r = sample_sim();
+        let good = encode_sim(&r);
+        let mut variants = damaged_variants(&good);
+        // Count fields: the memory image length (after the version, the
+        // tagged return value, cycles and insts), then the loop count.
+        let mem_at = varint_offset(&good, SIM_MAGIC.len(), 4, &[1]);
+        let loops_at = varint_offset(&good, mem_at, 1 + r.memory.len(), &[]);
+        for lie in lies(r.memory.len() as u64) {
+            variants.push(with_lying_count(&good, mem_at, lie));
+        }
+        for lie in lies(r.loops.len() as u64) {
+            variants.push(with_lying_count(&good, loops_at, lie));
+        }
+        assert_every_variant_corrupt(&cache, "sim", 3, &variants, |c, k| c.load_sim(k));
+        // The undamaged bytes still load.
+        std::fs::write(cache.path_for("sim", 3), &good).unwrap();
+        assert!(matches!(cache.load_sim(3), LoadOutcome::Hit(got) if sim_eq(&got, &r)));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn damaged_function_units_load_corrupt_then_miss() {
+        let cache = ArtifactCache::new(temp_dir("func-damage"));
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        let unit = sample_unit();
+        let good = unit.to_bytes();
+        let mut variants = damaged_variants(&good);
+        // Count fields: the fragment count (after the version), then the
+        // first fragment's move-set length (after header, depth, the tagged
+        // parent, body size, VC count, cost and pre-fork size).
+        let frags_at = varint_offset(&good, crate::func_unit::FUNC_UNIT_MAGIC.len(), 1, &[]);
+        let moves_at = varint_offset(&good, frags_at, 8, &[3]);
+        for lie in lies(unit.fragments.len() as u64) {
+            variants.push(with_lying_count(&good, frags_at, lie));
+        }
+        for lie in lies(unit.fragments[0].move_insts.len() as u64) {
+            variants.push(with_lying_count(&good, moves_at, lie));
+        }
+        let key = ArtifactCache::func_unit_key(1, 0, 2);
+        assert_every_variant_corrupt(&cache, "func", key, &variants, |c, k| c.load_func_unit(k));
+        std::fs::write(cache.path_for("func", key), &good).unwrap();
+        assert_eq!(cache.load_func_unit(key), LoadOutcome::Hit(unit));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

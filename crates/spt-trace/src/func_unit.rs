@@ -19,7 +19,7 @@
 use crate::codec::{get_varint, put_varint, Fnv};
 
 /// Magic prefix of function-analysis-unit artifact files.
-const FUNC_UNIT_MAGIC: &[u8; 8] = b"SPTFUNCA";
+pub(crate) const FUNC_UNIT_MAGIC: &[u8; 8] = b"SPTFUNCA";
 
 /// Bumped on any change to [`LoopFragment`]'s meaning or encoding; folded
 /// into every function-unit cache key so stale-format entries simply miss.
@@ -147,8 +147,11 @@ impl FuncAnalysisUnit {
                 "stale function unit version {version} (expected {FUNC_UNIT_FORMAT_VERSION})"
             ));
         }
+        // Every element takes at least one byte, so the bytes that remain
+        // bound any honest count: a lying count cannot force a large
+        // reservation.
         let nfrags = take(&mut pos)? as usize;
-        let mut fragments = Vec::with_capacity(nfrags.min(1 << 16));
+        let mut fragments = Vec::with_capacity(nfrags.min(body.len() - pos));
         for _ in 0..nfrags {
             let header = take(&mut pos)? as u32;
             let depth = take(&mut pos)?;
@@ -168,12 +171,12 @@ impl FuncAnalysisUnit {
             let cost_bits = take(&mut pos)?;
             let prefork_size = take(&mut pos)?;
             let nmove = take(&mut pos)? as usize;
-            let mut move_insts = Vec::with_capacity(nmove.min(1 << 20));
+            let mut move_insts = Vec::with_capacity(nmove.min(body.len() - pos));
             for _ in 0..nmove {
                 move_insts.push(take(&mut pos)? as u32);
             }
             let nrep = take(&mut pos)? as usize;
-            let mut replicate_insts = Vec::with_capacity(nrep.min(1 << 20));
+            let mut replicate_insts = Vec::with_capacity(nrep.min(body.len() - pos));
             for _ in 0..nrep {
                 replicate_insts.push(take(&mut pos)? as u32);
             }

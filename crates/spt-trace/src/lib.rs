@@ -1,41 +1,32 @@
-//! Capture-once / replay-many execution backend.
+//! Execution artifacts that outlive one process: the content-addressed
+//! artifact cache and the codecs around it.
 //!
-//! The pipeline and the bench harnesses execute the *same* program many
-//! times: once to profile, once per candidate configuration to simulate,
-//! and again on every re-run of a bench binary. This crate amortizes that:
+//! The pipeline and the bench harnesses simulate the *same* programs many
+//! times: once per configuration, and again on every re-run of a bench
+//! binary or daemon request. This crate memoizes the results:
 //!
-//! 1. **Capture** ([`CaptureProfiler`]): one interpreter run records the
-//!    dynamic event streams — taken branch directions, load/store cells,
-//!    watched def values — as a compact, delta-encoded [`Trace`].
-//! 2. **Replay** ([`replay_profile`], [`replay_sim`]): a linear scan of the
-//!    trace re-derives the full profile (every `Profiler` hook in original
-//!    order) or drives the SPT baseline simulator under any
-//!    [`MachineConfig`](spt_sim::MachineConfig), bit-identically to direct
-//!    execution and without re-evaluating any arithmetic.
-//! 3. **Cache** ([`ArtifactCache`]): traces and simulation memos persist in
-//!    a content-addressed directory (`.spt-cache/` by convention), keyed by
-//!    module IR hash + entry + inputs + format version, so repeated runs
-//!    skip capture entirely.
+//! * [`ArtifactCache`] — a directory (`.spt-cache/` by convention) of
+//!   immutable files keyed by content hash: whole `SimResult` memos (module
+//!   IR hash + entry + args + machine config + format version) and
+//!   function-granular analysis units ([`FuncAnalysisUnit`]). Damaged files
+//!   load as [`LoadOutcome::Corrupt`], are evicted, and the next probe is a
+//!   clean miss.
+//! * [`ShardedLru`] — the byte-budgeted in-memory tier the compile daemon
+//!   and the incremental cache put in front of the disk.
+//! * [`codec`] — LEB128 varints, zigzag and FNV-1a, shared by the artifact
+//!   files, the cache keys and the daemon's wire protocol.
 //!
 //! Correctness is anchored by oracles: `tests/trace_equivalence.rs` at the
-//! workspace root pins replay output bit-identical to `Interp`,
-//! `ReferenceInterp` and `SptSimulator` over the whole benchmark suite.
+//! workspace root pins cache-off, cold and warm compiles and simulations
+//! byte-identical over the whole benchmark suite.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod capture;
 pub mod codec;
 pub mod func_unit;
 pub mod mem_cache;
-pub mod replay_profile;
-pub mod replay_sim;
-pub mod trace;
 
 pub use cache::{sim_from_bytes, sim_to_bytes, ArtifactCache, CacheCounters, LoadOutcome};
-pub use capture::{svp_watch_set, CaptureProfiler, WatchSet};
 pub use func_unit::{FuncAnalysisUnit, LoopFragment, FUNC_UNIT_FORMAT_VERSION};
 pub use mem_cache::{ShardStats, ShardedLru};
-pub use replay_profile::{replay_profile, ReplayError, ReplayLimits};
-pub use replay_sim::{has_spt_markers, replay_sim};
-pub use trace::{Trace, TraceCursor, TRACE_FORMAT_VERSION};

@@ -47,14 +47,15 @@ cargo run --release -q -p spt-bench --features failpoints --bin corpus -- \
 echo "== corpus: regression replay (checked-in minimized repros) =="
 cargo test -q --test corpus_regressions
 
-echo "== trace equivalence (replay bit-identical to direct execution) =="
+echo "== cache equivalence (cache off / cold / warm bit-identical) =="
 cargo test -q --release --test trace_equivalence
 
 echo "== perfbench smoke: cold vs warm cache determinism =="
-# Two consecutive runs from an empty artifact cache: the first captures,
-# the second replays from `.spt-cache/`. The results-only report digests
-# must be byte-identical (the cache can never change an answer) and the
-# warm run must actually hit the cache.
+# Two consecutive runs from an empty artifact cache: the first simulates
+# everything, the second reads the sim memos from `.spt-cache/`. The
+# results-only report digests must be byte-identical (the cache can never
+# change an answer) and the warm run must serve every simulation from the
+# memo.
 rm -rf .spt-cache
 cold_out=$(cargo run --release -q -p spt-bench --bin perfbench -- --smoke)
 warm_out=$(cargo run --release -q -p spt-bench --bin perfbench -- --smoke)
@@ -67,9 +68,9 @@ if [[ -z "$cold_digest" || "$cold_digest" != "$warm_digest" ]]; then
   echo "  warm: ${warm_digest:-<missing>}" >&2
   exit 1
 fi
-if ! grep -Eq '^trace cache: [1-9][0-9]* hits, 0 misses$' <<<"$warm_out"; then
-  echo "FAIL: warm perfbench run did not serve everything from the cache" >&2
-  grep '^trace cache:' <<<"$warm_out" >&2 || true
+if ! grep -Eq '^sim memo: [1-9][0-9]* hits, 0 direct runs$' <<<"$warm_out"; then
+  echo "FAIL: warm perfbench run did not serve every simulation from the memo" >&2
+  grep '^sim memo:' <<<"$warm_out" >&2 || true
   exit 1
 fi
 
@@ -147,6 +148,11 @@ if grep -Eq 'analysis units: 0 hits' <<<"$inc_out"; then
   echo "FAIL: a warm incremental round served no per-function cache hits" >&2
   exit 1
 fi
+
+echo "== benchmark package (sptbench builds and passes against the crates) =="
+# sptbench path-depends on the workspace crates; a crate API change that
+# breaks the benchmark must fail here, not when the benchmark next runs.
+cargo test --release --offline --manifest-path sptbench/Cargo.toml
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

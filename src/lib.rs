@@ -22,6 +22,7 @@
 //! | [`transform`] | `spt-transform` | SPT emission, unrolling, SVP, promotion (§6–7) |
 //! | [`pipeline`] | `spt-core` | the two-pass cost-driven driver (§3, §6) |
 //! | [`sim`] | `spt-sim` | the two-core SPT machine simulator (§8) |
+//! | [`trace`] | `spt-trace` | the content-addressed artifact cache: simulation memos, function units |
 //! | [`serve`] | `spt-serve` | the `sptd` compile daemon: two-tier artifact cache, framed protocol, client |
 //! | [`bench_suite`] | `spt-bench-suite` | ten synthetic Spec2000Int-like workloads |
 //!
