@@ -11,6 +11,30 @@ use spt_partition::{
 };
 use std::hint::black_box;
 
+/// The cost model of loop 0 of `fname` in `src`, with static (profile-free)
+/// dependence probabilities.
+fn loop_model(src: &str, fname: &str) -> LoopCostModel {
+    let module = spt_frontend::compile(src).expect("compiles");
+    let func = module.func_by_name(fname).expect("function exists");
+    let graph = DepGraph::build(
+        &module,
+        func,
+        LoopId::new(0),
+        Profiles::default(),
+        &DepGraphConfig::default(),
+    );
+    LoopCostModel::new(graph)
+}
+
+/// The pipeline's pre-fork size threshold (`CompilerConfig::prefork_frac`)
+/// for `model`'s loop.
+fn pipeline_config(model: &LoopCostModel) -> SearchConfig {
+    SearchConfig {
+        max_prefork_size: (model.graph.body_size as f64 * 0.35) as u64,
+        ..SearchConfig::default()
+    }
+}
+
 /// Builds a loop with `k` independent carried accumulators — `k` violation
 /// candidates and a 2^k unpruned search space.
 fn many_vc_model(k: usize) -> LoopCostModel {
@@ -25,16 +49,7 @@ fn many_vc_model(k: usize) -> LoopCostModel {
     let src = format!(
         "fn f(n: int) -> int {{ {decls} let i = 0; while (i < n) {{ {body} i = i + 1; }} return {ret}; }}"
     );
-    let module = spt_frontend::compile(&src).expect("compiles");
-    let func = module.func_by_name("f").expect("f exists");
-    let graph = DepGraph::build(
-        &module,
-        func,
-        LoopId::new(0),
-        Profiles::default(),
-        &DepGraphConfig::default(),
-    );
-    LoopCostModel::new(graph)
+    loop_model(&src, "f")
 }
 
 fn bench_search_scaling(c: &mut Criterion) {
@@ -61,9 +76,10 @@ fn bench_search_scaling(c: &mut Criterion) {
 }
 
 /// The worst case the paper's 30-VC limit admits: 28 violation candidates,
-/// capped at a fixed number of visited search nodes so the incremental
-/// evaluator and the from-scratch reference time the *same* tree and the
-/// ratio is pure per-node evaluation throughput.
+/// capped at a fixed number of visited search nodes so the search and the
+/// from-scratch reference time the *same* tree. The ratio is pure per-node
+/// evaluation throughput: the stacked evaluator's disarm/undo against a
+/// closure walk plus a full propagation sweep per node.
 fn bench_incremental_vs_reference(c: &mut Criterion) {
     let model = many_vc_model(28);
     let config = SearchConfig {
@@ -83,21 +99,21 @@ fn bench_incremental_vs_reference(c: &mut Criterion) {
 fn bench_suite_loop(c: &mut Criterion) {
     // A realistic loop from the benchmark suite.
     let bench = spt_bench_suite::benchmark("twolf_s").expect("exists");
-    let module = spt_frontend::compile(bench.source).expect("compiles");
-    let func = module.func_by_name("anneal").expect("anneal exists");
-    let graph = DepGraph::build(
-        &module,
-        func,
-        LoopId::new(0),
-        Profiles::default(),
-        &DepGraphConfig::default(),
-    );
-    let model = LoopCostModel::new(graph);
-    let config = SearchConfig {
-        max_prefork_size: (model.graph.body_size as f64 * 0.35) as u64,
-        ..SearchConfig::default()
-    };
+    let model = loop_model(bench.source, "anneal");
+    let config = pipeline_config(&model);
     c.bench_function("bnb_search/twolf_s::anneal", |b| {
+        b.iter(|| black_box(optimal_partition(black_box(&model), &config)))
+    });
+}
+
+/// The kernel the `edit-recompile` workload re-analyzes on every edit: 20
+/// independent recurrences plus the induction variable, searched at the
+/// pipeline's size threshold — the search that dominates that workload.
+fn bench_edit_recompile_kernel(c: &mut Criterion) {
+    let src = spt_bench::incremental_workload::source_with(1);
+    let model = loop_model(&src, "k0");
+    let config = pipeline_config(&model);
+    c.bench_function("bnb_search/edit_recompile::k0", |b| {
         b.iter(|| black_box(optimal_partition(black_box(&model), &config)))
     });
 }
@@ -105,6 +121,7 @@ fn bench_suite_loop(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_search_scaling, bench_incremental_vs_reference, bench_suite_loop
+    targets = bench_search_scaling, bench_incremental_vs_reference, bench_suite_loop,
+        bench_edit_recompile_kernel
 }
 criterion_main!(benches);

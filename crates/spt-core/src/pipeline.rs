@@ -207,7 +207,9 @@ pub struct StageTimings {
     pub svp_s: f64,
     /// Stage 6: selection plus SPT emission.
     pub select_emit_s: f64,
-    /// Total partition-search nodes visited across all analyses (pairs with
+    /// Partition-search nodes this run actually searched: every loop
+    /// analysed in pass 1 and in the SVP re-analysis, excluding loops whose
+    /// analysis was served from the function-granular cache (pairs with
     /// `analysis_s` for a nodes-per-second figure).
     pub search_visited: u64,
     /// Always 0; kept only because `sptbench/src/layers.rs` reads it.
@@ -407,7 +409,6 @@ fn transform_scratch(
     for a in &mut analyses {
         a.svp_applied = svp_headers.contains(&(a.func, a.header));
     }
-    timings.search_visited = analyses.iter().map(|a| a.search_visited).sum();
 
     // --- Stage 6: pass 2 selection.
     let t_select = std::time::Instant::now();
@@ -976,6 +977,7 @@ fn analyze_module(
                         break;
                     };
                     diags.extend(item_diags);
+                    timings.search_visited += a.search_visited;
                     analyses.push(a);
                 }
                 if let (Some(cache), Some(key)) = (cache, key) {

@@ -15,6 +15,14 @@
 //! approximation `x := 1 - (1-x)(1 - r·v(p))` (§4.2.3), and the
 //! misspeculation cost of a partition is `Σ v(c)·Cost(c)` over operation
 //! nodes (§4.2.4).
+//!
+//! [`CostGraph::reexec_probs`] and [`CostGraph::misspeculation_cost`] price
+//! one partition from scratch and are the oracles. The partition search
+//! prices thousands of partitions that differ by one candidate, so it uses
+//! [`CostEvaluator`] instead: a stack of per-node probability levels keyed
+//! by which candidates are disarmed, where disarming a candidate recomputes
+//! only the nodes that candidate can reach. Every level is bit-identical to
+//! the one-shot sweep.
 
 /// A violation candidate's pseudo node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -151,179 +159,231 @@ impl CostGraph {
         self.misspeculation_cost(&vec![false; self.num_nodes])
     }
 
-    /// Builds a reusable evaluation arena for this graph. One evaluator
-    /// serves any number of [`CostGraph::reexec_probs_into`] /
-    /// [`CostGraph::misspeculation_cost_with`] calls without reallocating.
+    /// Builds the incremental evaluator for this graph. Its base level has
+    /// every violation candidate armed (the empty partition); see
+    /// [`CostEvaluator`] for how levels are pushed and popped.
     pub fn evaluator(&self) -> CostEvaluator {
         let n = self.num_nodes;
         let words = n.div_ceil(64);
-        // CSR out-adjacency, preserving per-source edge order so the
-        // propagation multiplies survival factors in exactly the same order
-        // as the one-shot sweep of `reexec_probs`.
-        let mut out_start = vec![0usize; n + 1];
-        for &(src, _, _) in &self.edges {
-            out_start[src + 1] += 1;
+        // Per-node inputs in the order the push sweep of `reexec_probs`
+        // multiplies their survival factors: cross edges in `vc_edges` order
+        // (candidate `k` as input `n + k`), then intra in-edges by source
+        // ascending and insertion order.
+        let mut intra: Vec<usize> = (0..self.edges.len()).collect();
+        intra.sort_by_key(|&i| self.edges[i].0); // stable: keeps insertion order
+        let pairs = self
+            .vc_edges
+            .iter()
+            .map(|&(vc, dst, r)| (dst, (n + vc, r)))
+            .chain(intra.iter().map(|&i| {
+                let (src, dst, r) = self.edges[i];
+                (dst, (src, r))
+            }));
+        let mut input_start = vec![0usize; n + 1];
+        for (dst, _) in pairs.clone() {
+            input_start[dst + 1] += 1;
         }
         for i in 0..n {
-            out_start[i + 1] += out_start[i];
+            input_start[i + 1] += input_start[i];
         }
-        let mut next = out_start.clone();
-        let mut out_edges = vec![(0usize, 0.0f64); self.edges.len()];
-        for &(src, dst, r) in &self.edges {
-            out_edges[next[src]] = (dst, r);
-            next[src] += 1;
+        let mut next = input_start.clone();
+        let mut inputs = vec![(0usize, 0.0f64); input_start[n]];
+        for (dst, input) in pairs {
+            inputs[next[dst]] = input;
+            next[dst] += 1;
         }
-        // Per-candidate reachability: the operation nodes whose re-execution
-        // probability can be non-zero when that candidate alone is armed.
-        // Seeds are the candidate's cross-edge targets; the graph is
-        // topologically ordered, so one ascending sweep closes each set.
-        let mut vc_reach = vec![0u64; self.vcs.len() * words];
-        for (k, row) in vc_reach.chunks_mut(words.max(1)).enumerate() {
-            if words == 0 {
-                break;
-            }
-            for &(vc, dst, _) in &self.vc_edges {
-                if vc == k {
-                    row[dst / 64] |= 1u64 << (dst % 64);
-                }
-            }
+        // Per-candidate reach: the operation nodes whose re-execution
+        // probability can depend on that candidate. Nodes are topologically
+        // ordered, so one ascending pull sweep closes each set.
+        let row = words.max(1);
+        let mut vc_reach = vec![0u64; self.vcs.len() * row];
+        for (k, reach) in vc_reach.chunks_mut(row).enumerate() {
+            let reached =
+                |reach: &[u64], i: usize| i < n && reach[i / 64] & (1u64 << (i % 64)) != 0;
             for node in 0..n {
-                if row[node / 64] & (1u64 << (node % 64)) != 0 {
-                    for &(dst, _) in &out_edges[out_start[node]..out_start[node + 1]] {
-                        row[dst / 64] |= 1u64 << (dst % 64);
-                    }
+                if inputs[input_start[node]..input_start[node + 1]]
+                    .iter()
+                    .any(|&(i, _)| i == n + k || reached(reach, i))
+                {
+                    reach[node / 64] |= 1u64 << (node % 64);
                 }
             }
         }
-        CostEvaluator {
+        let width = 2 * n + self.vcs.len();
+        let mut eval = CostEvaluator {
             num_nodes: n,
             num_vcs: self.vcs.len(),
             words,
-            out_start,
-            out_edges,
+            node_cost: self.node_cost.clone(),
+            input_start,
+            inputs,
             vc_reach,
-            vc_prob: vec![0.0; self.vcs.len()],
-            survival: vec![1.0; n],
-            v: vec![0.0; n],
-            reach: vec![0u64; words],
+            levels: Vec::with_capacity(width * (self.vcs.len() + 2)),
+            depth: 0,
+            affected: vec![0; words],
+        };
+        // Base level: every candidate armed, every node pulled once.
+        eval.levels.resize(width, 0.0);
+        for (p, vc) in eval.levels[n..n + self.vcs.len()].iter_mut().zip(&self.vcs) {
+            *p = vc.violation_prob;
         }
-    }
-
-    /// Scratch-buffer variant of [`CostGraph::reexec_probs`]: evaluates into
-    /// `eval`'s arena and returns the per-node probabilities as a slice.
-    ///
-    /// The propagation sweep is restricted to nodes reachable from
-    /// still-armed violation candidates; every skipped node keeps
-    /// `survival = 1`, whose factors are exactly `1.0`, so the result is
-    /// bit-identical to the full sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eval` was built from a graph of different shape or
-    /// `node_in_prefork.len() != num_nodes`.
-    pub fn reexec_probs_into<'e>(
-        &self,
-        node_in_prefork: &[bool],
-        eval: &'e mut CostEvaluator,
-    ) -> &'e [f64] {
-        assert_eq!(node_in_prefork.len(), self.num_nodes);
-        assert_eq!(eval.num_nodes, self.num_nodes, "evaluator/graph mismatch");
-        assert_eq!(eval.num_vcs, self.vcs.len(), "evaluator/graph mismatch");
-        // Reset whatever the previous evaluation touched.
-        for w in 0..eval.words {
-            let mut bits = eval.reach[w];
-            while bits != 0 {
-                let node = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                eval.survival[node] = 1.0;
-                eval.v[node] = 0.0;
-            }
-            eval.reach[w] = 0;
+        for node in 0..n {
+            eval.affected[node / 64] |= 1u64 << (node % 64);
         }
-        // Step 3: pseudo-node probabilities; union the reach of armed VCs.
-        for (k, vc) in self.vcs.iter().enumerate() {
-            let p = match vc.node {
-                Some(node) if node_in_prefork[node] => 0.0,
-                _ => vc.violation_prob,
-            };
-            eval.vc_prob[k] = p;
-            if p > 0.0 {
-                for w in 0..eval.words {
-                    eval.reach[w] |= eval.vc_reach[k * eval.words + w];
-                }
-            }
-        }
-        // Step 4: seed survivals from armed cross edges, then propagate over
-        // reachable nodes in ascending (topological) order.
-        for &(vc, dst, r) in &self.vc_edges {
-            let p = eval.vc_prob[vc];
-            if p > 0.0 {
-                eval.survival[dst] *= 1.0 - r * p;
-            }
-        }
-        for w in 0..eval.words {
-            let mut bits = eval.reach[w];
-            while bits != 0 {
-                let node = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let vn = 1.0 - eval.survival[node];
-                eval.v[node] = vn;
-                if vn > 0.0 {
-                    for i in eval.out_start[node]..eval.out_start[node + 1] {
-                        let (dst, r) = eval.out_edges[i];
-                        eval.survival[dst] *= 1.0 - r * vn;
-                    }
-                }
-            }
-        }
-        &eval.v
-    }
-
-    /// Scratch-buffer variant of [`CostGraph::misspeculation_cost`]: the sum
-    /// runs over the touched nodes only (skipped terms are exactly `+0.0`).
-    pub fn misspeculation_cost_with(
-        &self,
-        node_in_prefork: &[bool],
-        eval: &mut CostEvaluator,
-    ) -> f64 {
-        self.reexec_probs_into(node_in_prefork, eval);
-        let mut cost = 0.0f64;
-        for w in 0..eval.words {
-            let mut bits = eval.reach[w];
-            while bits != 0 {
-                let node = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                cost += eval.v[node] * self.node_cost[node];
-            }
-        }
-        cost
+        eval.recompute_affected();
+        eval
     }
 }
 
-/// A reusable evaluation arena for one [`CostGraph`] (see
-/// [`CostGraph::evaluator`]): CSR out-adjacency, precomputed per-candidate
-/// reachability bitsets, and the scratch buffers of the propagation sweep.
-/// The optimal-partition search holds one of these and evaluates thousands
-/// of partitions without a single allocation.
+/// The incremental misspeculation-cost evaluator for one [`CostGraph`] (see
+/// [`CostGraph::evaluator`]), keyed by violation-candidate index.
+///
+/// It keeps a stack of *levels*, each holding the re-execution probability
+/// of every operation node for one set of *disarmed* candidates — the
+/// candidates whose statements sit in the pre-fork region, so their
+/// violation probability is 0 (§4.2.3 step 3). The base level disarms
+/// nothing. [`CostEvaluator::disarm`] pushes a level that disarms more
+/// candidates and recomputes only the nodes they can reach;
+/// [`CostEvaluator::undo`] pops it.
+///
+/// Each recomputed node is *pulled*: its cross-edge factors in `vc_edges`
+/// order (skipping disarmed candidates), then its intra in-edges by source
+/// ascending and insertion order (skipping sources with `v = 0`). That is
+/// the factor sequence the push sweep of [`CostGraph::reexec_probs`]
+/// multiplies, minus factors that are exactly `1.0`, so every level is
+/// bit-identical to the one-shot sweep over a mask that pre-forks exactly
+/// the disarmed candidates' statements. Nodes outside the new candidates'
+/// reach keep their parent-level value, because none of their inputs
+/// changed.
+///
+/// The cost is a sequential sum in node order, so it cannot be patched by
+/// a difference without changing bits. Each level instead keeps the running
+/// sums of `v(c)·Cost(c)` over nodes `0..=i`, folded exactly as
+/// `Iterator::sum` folds them, so [`CostEvaluator::cost`] is bit-identical
+/// to [`CostGraph::misspeculation_cost`]. A level re-adds only from its
+/// lowest recomputed node on; the running sums below it are the parent's.
+///
+/// The optimal-partition search holds one evaluator and prices every search
+/// node without an allocation.
 #[derive(Clone, Debug)]
 pub struct CostEvaluator {
     num_nodes: usize,
     num_vcs: usize,
     /// Bitset words per node set (`num_nodes.div_ceil(64)`).
     words: usize,
-    /// CSR: out-edges of node `n` are `out_edges[out_start[n]..out_start[n+1]]`.
-    out_start: Vec<usize>,
-    out_edges: Vec<(usize, f64)>,
-    /// Flattened per-VC reachability: candidate `k` owns words
-    /// `vc_reach[k*words..(k+1)*words]`.
+    node_cost: Vec<f64>,
+    /// Inputs of node `i`: `inputs[input_start[i]..input_start[i+1]]`, as
+    /// `(source, r)` in pull order. A source below `num_nodes` is a node;
+    /// `num_nodes + k` is candidate `k`.
+    input_start: Vec<usize>,
+    inputs: Vec<(usize, f64)>,
+    /// Flattened per-candidate reach bitsets, one row of
+    /// `max(words, 1)` words per candidate.
     vc_reach: Vec<u64>,
-    // --- scratch, reset lazily between evaluations ---
-    vc_prob: Vec<f64>,
-    survival: Vec<f64>,
-    v: Vec<f64>,
-    /// Union of armed candidates' reach from the latest evaluation; doubles
-    /// as the record of which scratch entries need resetting.
-    reach: Vec<u64>,
+    /// The level stack, `2 * num_nodes + num_vcs` entries per level: the
+    /// per-node probabilities, the candidates' violation probabilities (0
+    /// once disarmed), then the running sums of the cost. Levels above
+    /// `depth` are spare capacity.
+    levels: Vec<f64>,
+    depth: usize,
+    /// Scratch: the nodes the level being pushed must recompute.
+    affected: Vec<u64>,
+}
+
+impl CostEvaluator {
+    fn width(&self) -> usize {
+        2 * self.num_nodes + self.num_vcs
+    }
+
+    /// Pushes a level that disarms `vcs` on top of the current level, and
+    /// recomputes the nodes reachable from the candidates it newly disarms.
+    /// Disarming an already-disarmed candidate changes nothing, and the
+    /// matching [`CostEvaluator::undo`] leaves it disarmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate index is out of range.
+    pub fn disarm(&mut self, vcs: &[usize]) {
+        let (n, width, row) = (self.num_nodes, self.width(), self.words.max(1));
+        self.depth += 1;
+        let top = self.depth * width;
+        if self.levels.len() < top + width {
+            self.levels.resize(top + width, 0.0);
+        }
+        self.levels.copy_within(top - width..top, top);
+        self.affected.fill(0);
+        let probs = &mut self.levels[top + n..top + n + self.num_vcs];
+        for &k in vcs {
+            if probs[k] > 0.0 {
+                probs[k] = 0.0;
+                let reach = &self.vc_reach[k * row..k * row + self.words];
+                for (a, r) in self.affected.iter_mut().zip(reach) {
+                    *a |= r;
+                }
+            }
+        }
+        self.recompute_affected();
+    }
+
+    /// Pops the top level.
+    ///
+    /// # Panics
+    ///
+    /// Panics when only the base level is left.
+    pub fn undo(&mut self) {
+        assert!(self.depth > 0, "undo without a matching disarm");
+        self.depth -= 1;
+    }
+
+    /// The misspeculation cost of the top level: `Σ v(c)·Cost(c)`, summed
+    /// exactly as [`CostGraph::misspeculation_cost`] sums it.
+    pub fn cost(&self) -> f64 {
+        match self.num_nodes {
+            0 => std::iter::empty::<f64>().sum(),
+            _ => self.levels[(self.depth + 1) * self.width() - 1],
+        }
+    }
+
+    /// The top level's per-node re-execution probabilities.
+    pub fn reexec_probs(&self) -> &[f64] {
+        let top = self.depth * self.width();
+        &self.levels[top..top + self.num_nodes]
+    }
+
+    /// Pull-recomputes the top level's `affected` nodes, ascending, then its
+    /// running cost sums from the lowest of them on.
+    fn recompute_affected(&mut self) {
+        let (n, width) = (self.num_nodes, self.width());
+        let level = &mut self.levels[self.depth * width..(self.depth + 1) * width];
+        let (values, sums) = level.split_at_mut(n + self.num_vcs);
+        let mut lowest = n;
+        for (w, &word) in self.affected.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let node = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                lowest = lowest.min(node);
+                let mut survival = 1.0f64;
+                for &(src, r) in &self.inputs[self.input_start[node]..self.input_start[node + 1]] {
+                    let x = values[src];
+                    if x > 0.0 {
+                        survival *= 1.0 - r * x;
+                    }
+                }
+                values[node] = 1.0 - survival;
+            }
+        }
+        // `Iterator::sum` folds from its own identity, so start from it.
+        let mut acc = match lowest {
+            0 => std::iter::empty::<f64>().sum(),
+            _ if lowest < n => sums[lowest - 1],
+            _ => return,
+        };
+        for (i, sum) in sums.iter_mut().enumerate().skip(lowest) {
+            acc += values[i] * self.node_cost[i];
+            *sum = acc;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -457,36 +517,38 @@ mod tests {
     fn evaluator_matches_one_shot_sweep() {
         let g = paper_example();
         let mut eval = g.evaluator();
-        // Cycle through several partitions with ONE arena: lazy resets must
-        // leave no residue from the previous evaluation.
-        let masks: Vec<Vec<bool>> = vec![
-            vec![false; 6],
-            {
-                let mut m = vec![false; 6];
-                m[3] = true;
-                m
-            },
-            vec![true; 6],
-            {
-                let mut m = vec![false; 6];
-                m[4] = true;
-                m[5] = true;
-                m
-            },
-            vec![false; 6],
-        ];
-        for mask in &masks {
-            let fresh = g.reexec_probs(mask);
-            let scratch = g.reexec_probs_into(mask, &mut eval).to_vec();
-            assert_eq!(fresh, scratch, "bit-exact probabilities for {mask:?}");
-            let c_fresh = g.misspeculation_cost(mask);
-            let c_scratch = g.misspeculation_cost_with(mask, &mut eval);
+        let check = |eval: &CostEvaluator, prefork: &[usize]| {
+            let mut mask = vec![false; 6];
+            for &n in prefork {
+                mask[n] = true;
+            }
+            let fresh = g.reexec_probs(&mask);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fresh), bits(eval.reexec_probs()), "{prefork:?}");
             assert_eq!(
-                c_fresh.to_bits(),
-                c_scratch.to_bits(),
-                "bit-exact cost for {mask:?}"
+                g.misspeculation_cost(&mask).to_bits(),
+                eval.cost().to_bits(),
+                "{prefork:?}"
             );
-        }
+        };
+        // Candidates D, E, F sit on nodes 3, 4, 5.
+        check(&eval, &[]);
+        eval.disarm(&[0]);
+        check(&eval, &[3]);
+        assert!((eval.cost() - 0.58).abs() < 1e-12, "the paper's 0.58");
+        eval.disarm(&[1, 2]);
+        check(&eval, &[3, 4, 5]);
+        // Re-disarming is a no-op level whose undo must not re-arm D.
+        eval.disarm(&[0]);
+        check(&eval, &[3, 4, 5]);
+        eval.undo();
+        check(&eval, &[3, 4, 5]);
+        eval.undo();
+        check(&eval, &[3]);
+        eval.undo();
+        check(&eval, &[]);
+        eval.disarm(&[2, 1]);
+        check(&eval, &[4, 5]);
     }
 
     #[test]
@@ -568,23 +630,38 @@ mod proptests {
             prop_assert!(c <= prev + 1e-9);
         }
 
-        /// The restricted-sweep evaluator reproduces the one-shot sweep
-        /// bit-for-bit on random graphs and random partitions, including
-        /// arena reuse across successive masks.
+        /// The incremental evaluator reproduces the one-shot sweep
+        /// bit-for-bit on random graphs over random disarm/undo sequences,
+        /// re-disarming already-disarmed candidates included. Disarming a
+        /// node's candidates is pre-forking that node.
         #[test]
-        fn evaluator_is_bit_exact(g in arb_graph(), picks in proptest::collection::vec(0usize..64, 0..24)) {
+        fn evaluator_is_bit_exact(g in arb_graph(), ops in proptest::collection::vec((0usize..64, 0usize..4), 0..32)) {
             let mut eval = g.evaluator();
-            let mut mask = vec![false; g.num_nodes];
-            // Interleave evaluations with mask mutations to exercise reuse.
-            for (step, &pick) in picks.iter().enumerate() {
-                let n = pick % g.num_nodes;
-                mask[n] = step % 3 != 2; // mostly set, sometimes clear
-                let fresh = g.reexec_probs(&mask);
-                let scratch = g.reexec_probs_into(&mask, &mut eval).to_vec();
-                prop_assert_eq!(&fresh, &scratch);
-                let cf = g.misspeculation_cost(&mask);
-                let cs = g.misspeculation_cost_with(&mask, &mut eval);
-                prop_assert_eq!(cf.to_bits(), cs.to_bits());
+            let mut masks = vec![vec![false; g.num_nodes]];
+            for &(pick, kind) in &ops {
+                if kind == 0 && masks.len() > 1 {
+                    eval.undo();
+                    masks.pop();
+                } else {
+                    // Mostly candidate statements; sometimes an arbitrary
+                    // node (possibly one already pre-forked).
+                    let node = if kind == 3 {
+                        pick % g.num_nodes
+                    } else {
+                        g.vcs[pick % g.vcs.len()].node.unwrap()
+                    };
+                    let vcs: Vec<usize> =
+                        (0..g.vcs.len()).filter(|&k| g.vcs[k].node == Some(node)).collect();
+                    eval.disarm(&vcs);
+                    let mut mask = masks.last().unwrap().clone();
+                    mask[node] = true;
+                    masks.push(mask);
+                }
+                let mask = masks.last().unwrap();
+                let fresh: Vec<u64> = g.reexec_probs(mask).iter().map(|x| x.to_bits()).collect();
+                let inc: Vec<u64> = eval.reexec_probs().iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(fresh, inc);
+                prop_assert_eq!(g.misspeculation_cost(mask).to_bits(), eval.cost().to_bits());
             }
         }
 

@@ -138,17 +138,12 @@ impl LoopCostModel {
         self.cost_graph.reexec_probs(partition.mask())
     }
 
-    /// Builds a reusable evaluation arena for this loop's cost graph; pair
-    /// with [`LoopCostModel::misspeculation_cost_with`] when evaluating many
-    /// partitions (the optimal-partition search does).
+    /// Builds the incremental evaluator for this loop's cost graph. Its
+    /// candidate indices are positions in [`LoopCostModel::vcs`]; the
+    /// optimal-partition search disarms a candidate when its statement
+    /// enters the pre-fork region.
     pub fn evaluator(&self) -> CostEvaluator {
         self.cost_graph.evaluator()
-    }
-
-    /// Scratch-buffer variant of [`LoopCostModel::misspeculation_cost`].
-    pub fn misspeculation_cost_with(&self, partition: &Partition, eval: &mut CostEvaluator) -> f64 {
-        self.cost_graph
-            .misspeculation_cost_with(partition.mask(), eval)
     }
 
     /// Static loop body size (Σ node latency).

@@ -100,13 +100,12 @@ impl VcDepGraph {
     }
 }
 
-/// The search's incrementally-maintained pre-fork region: the union of the
+/// The search's incrementally-maintained pre-fork size: the union of the
 /// pushed candidates' dependence closures, tracked by per-node reference
-/// counts so each pop undoes exactly what the matching push added. `mask`
-/// and `size` always equal what `Partition::from_seeds` would compute for
-/// the pushed set, without re-walking any closure.
+/// counts so each pop undoes exactly what the matching push added. `size`
+/// always equals what `Partition::from_seeds` would compute for the pushed
+/// set, without re-walking any closure.
 struct DeltaMask {
-    mask: Vec<bool>,
     refs: Vec<u32>,
     size: u64,
 }
@@ -114,7 +113,6 @@ struct DeltaMask {
 impl DeltaMask {
     fn new(num_nodes: usize) -> Self {
         DeltaMask {
-            mask: vec![false; num_nodes],
             refs: vec![0; num_nodes],
             size: 0,
         }
@@ -123,7 +121,6 @@ impl DeltaMask {
     fn push(&mut self, closure: &[usize], node_cost: &[u64]) {
         for &n in closure {
             if self.refs[n] == 0 {
-                self.mask[n] = true;
                 self.size += node_cost[n];
             }
             self.refs[n] += 1;
@@ -134,11 +131,26 @@ impl DeltaMask {
         for &n in closure {
             self.refs[n] -= 1;
             if self.refs[n] == 0 {
-                self.mask[n] = false;
                 self.size -= node_cost[n];
             }
         }
     }
+}
+
+/// The candidates the bound step disarms when the first addable position
+/// is `start`: each movable candidate at or after `start` plus its VC-dep
+/// predecessors, ascending. Those are exactly the candidates whose
+/// statements lie in the closure of the movable candidates from `start` on;
+/// a predecessor may sit below `start` without being in the current set.
+fn bound_disarms(vc_graph: &VcDepGraph, start: usize) -> Vec<usize> {
+    let mut member = vec![false; vc_graph.len()];
+    for p in (start..vc_graph.len()).filter(|&p| !vc_graph.immovable[p]) {
+        member[p] = true;
+        for &q in &vc_graph.preds[p] {
+            member[q] = true;
+        }
+    }
+    (0..vc_graph.len()).filter(|&k| member[k]).collect()
 }
 
 /// Search parameters.
@@ -201,13 +213,20 @@ pub struct SearchResult {
 /// Finds the minimum-misspeculation-cost legal partition of the loop, via
 /// branch-and-bound over violation-candidate sets.
 ///
-/// Search nodes are evaluated *incrementally*: the pre-fork mask is the
+/// Search nodes are evaluated *incrementally*. The pre-fork size is the
 /// refcounted union of the chosen candidates' precomputed closures
-/// ([`DeltaMask`]), extended on push and undone on pop, and costs come from
-/// a single [`spt_cost::CostEvaluator`] arena whose propagation sweep only
-/// touches nodes reachable from still-armed candidates. The result is
-/// bit-identical to [`optimal_partition_reference`] (skipped survival
-/// factors are exactly `1.0`), which remains the differential oracle.
+/// ([`DeltaMask`]), extended on push and undone on pop. Costs come from one
+/// [`spt_cost::CostEvaluator`]: a child disarms its candidate, which
+/// recomputes only the nodes that candidate reaches, and undoes it on the
+/// way back. A child cut by size pruning never touches the evaluator.
+///
+/// This is exact because a candidate set's cost depends only on which
+/// candidates are disarmed. The sets the search visits are closed under
+/// VC-dep predecessors, so a candidate's statement is in the pre-fork
+/// closure iff the candidate is in the set. The bound step disarms the
+/// movable candidates from `start` on *plus their predecessors*, since
+/// their closures pre-fork those too. The result is bit-identical to
+/// [`optimal_partition_reference`], which remains the differential oracle.
 pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchResult {
     let vc_graph = VcDepGraph::build(model);
     let empty = Partition::empty(&model.graph);
@@ -231,6 +250,8 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
         vc_graph: &'a VcDepGraph,
         config: &'a SearchConfig,
         eval: spt_cost::CostEvaluator,
+        /// `bound_disarms` for every `start`.
+        bound_disarms: Vec<Vec<usize>>,
         delta: DeltaMask,
         /// Candidate-position membership of the current set (O(1) pred
         /// checks; the set itself stays a stack for `best_set` snapshots).
@@ -257,12 +278,6 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
             self.in_set[p] = false;
         }
 
-        fn cost(&mut self) -> f64 {
-            self.model
-                .cost_graph()
-                .misspeculation_cost_with(&self.delta.mask, &mut self.eval)
-        }
-
         fn consider(&mut self, set: &[usize], cost: f64) {
             let size = self.delta.size;
             let better = cost < self.best_cost - 1e-12
@@ -282,23 +297,14 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
             }
             let start = max_pos.map_or(0, |m| m + 1);
             // Bound pruning: the best any descendant can do is the cost with
-            // every still-addable candidate included. Push them all, read the
-            // bound, pop them — no from-scratch closure walk.
+            // every still-addable candidate included. Disarm their closures'
+            // candidates, read the bound, undo — no closure walk.
             if self.config.prune_bound {
-                let mut any = false;
-                for p in start..self.vc_graph.len() {
-                    if !self.vc_graph.immovable[p] {
-                        self.push(p);
-                        any = true;
-                    }
-                }
-                if any {
-                    let bound = self.cost();
-                    for p in (start..self.vc_graph.len()).rev() {
-                        if !self.vc_graph.immovable[p] {
-                            self.pop(p);
-                        }
-                    }
+                let all = &self.bound_disarms[start];
+                if !all.is_empty() {
+                    self.eval.disarm(all);
+                    let bound = self.eval.cost();
+                    self.eval.undo();
                     if bound >= self.best_cost - 1e-12 {
                         self.pruned_bound += 1;
                         return;
@@ -325,19 +331,19 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
                 set.push(p);
                 self.visited += 1;
                 let oversize = self.delta.size > self.config.max_prefork_size;
-                if oversize {
-                    if self.config.prune_size {
-                        // Size is monotone: the whole subtree is dead.
-                        self.pruned_size += 1;
-                    } else {
-                        // Ablation mode: not a candidate answer, but
-                        // descendants are still (pointlessly) explored.
-                        self.search(set, Some(p));
-                    }
+                if oversize && self.config.prune_size {
+                    // Size is monotone: the whole subtree is dead.
+                    self.pruned_size += 1;
                 } else {
-                    let cost = self.cost();
-                    self.consider(set, cost);
+                    self.eval.disarm(&[p]);
+                    // An oversize set (ablation mode) is not a candidate
+                    // answer, but its descendants are still explored.
+                    if !oversize {
+                        let cost = self.eval.cost();
+                        self.consider(set, cost);
+                    }
                     self.search(set, Some(p));
+                    self.eval.undo();
                 }
                 set.pop();
                 self.pop(p);
@@ -350,6 +356,9 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
         vc_graph: &vc_graph,
         config,
         eval: model.evaluator(),
+        bound_disarms: (0..=vc_graph.len())
+            .map(|start| bound_disarms(&vc_graph, start))
+            .collect(),
         delta: DeltaMask::new(model.graph.nodes.len()),
         in_set: vec![false; vc_graph.len()],
         best_cost: empty_cost,
@@ -541,9 +550,10 @@ pub fn optimal_partition_reference(model: &LoopCostModel, config: &SearchConfig)
 
 /// A greedy baseline for ablation: repeatedly add the single candidate that
 /// most reduces cost, while the size threshold holds. Candidates are probed
-/// by pushing them onto the shared [`DeltaMask`] and popping after the cost
-/// read, so one round is linear in closure size rather than quadratic in the
-/// chosen set.
+/// by pushing their closures onto the shared [`DeltaMask`] for the size and
+/// disarming them in the shared [`spt_cost::CostEvaluator`] for the cost,
+/// then undoing both, so a probe costs the candidate's closure and reach
+/// rather than a walk of the chosen set.
 pub fn greedy_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchResult {
     let vc_graph = VcDepGraph::build(model);
     let node_cost = &model.graph.cost;
@@ -551,9 +561,7 @@ pub fn greedy_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchR
     let mut delta = DeltaMask::new(model.graph.nodes.len());
     let mut in_chosen = vec![false; vc_graph.len()];
     let mut chosen: Vec<usize> = Vec::new();
-    let mut best_cost = model
-        .cost_graph()
-        .misspeculation_cost_with(&delta.mask, &mut eval);
+    let mut best_cost = eval.cost();
     let mut visited = 0u64;
     loop {
         let mut improved: Option<(usize, f64)> = None;
@@ -567,9 +575,9 @@ pub fn greedy_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchR
             visited += 1;
             delta.push(&vc_graph.closures[p], node_cost);
             if delta.size <= config.max_prefork_size {
-                let cost = model
-                    .cost_graph()
-                    .misspeculation_cost_with(&delta.mask, &mut eval);
+                eval.disarm(&[p]);
+                let cost = eval.cost();
+                eval.undo();
                 if cost < best_cost - 1e-12 && improved.is_none_or(|(_, c)| cost < c) {
                     improved = Some((p, cost));
                 }
@@ -579,6 +587,7 @@ pub fn greedy_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchR
         match improved {
             Some((p, cost)) => {
                 delta.push(&vc_graph.closures[p], node_cost);
+                eval.disarm(&[p]);
                 in_chosen[p] = true;
                 chosen.push(p);
                 best_cost = cost;
@@ -820,6 +829,68 @@ mod tests {
     }
 
     #[test]
+    fn mixed_recurrences_match_reference_exactly() {
+        // Two chains (a, b) and independent accumulators (c), interleaved
+        // so that a chained candidate's predecessor sits below the search
+        // position of an independent one: with the set {c0}, the bound step
+        // must also disarm a0, which the remaining a1 pre-forks.
+        let src = "
+            fn f(n: int) -> int {
+                let a0 = 0; let a1 = 0; let a2 = 0; let a3 = 0;
+                let b0 = 0; let b1 = 0; let b2 = 0;
+                let c0 = 0; let c1 = 1; let c2 = 0; let c3 = 0;
+                let i = 0;
+                while (i < n) {
+                    a0 = a0 + 1;
+                    c0 = c0 + i % 3;
+                    a1 = a1 + a0;
+                    c1 = c1 * 3 + 1;
+                    a2 = a2 + a1;
+                    b0 = b0 + 2;
+                    c2 = c2 + i % 5;
+                    b1 = b1 + b0 * 2;
+                    c3 = c3 + 7;
+                    a3 = a3 + a2;
+                    b2 = b2 + b1;
+                    i = i + 1;
+                }
+                return a3 + b2 + c0 + c1 + c2 + c3;
+            }
+        ";
+        let m = model_for(src, "f");
+        let g = VcDepGraph::build(&m);
+        assert!(g.len() >= 12, "{} candidates", g.len());
+        // Some candidate has a predecessor with a movable candidate strictly
+        // between them.
+        let shaped = (0..g.len()).any(|p| {
+            g.preds[p]
+                .iter()
+                .any(|&q| (q + 1..p).any(|r| !g.immovable[r] && !g.preds[p].contains(&r)))
+        });
+        assert!(shaped, "preds {:?}", g.preds);
+        let total = m.body_size();
+        for max_size in [1, 4, 8, 16, total / 4, total / 2, u64::MAX] {
+            let cfg = SearchConfig {
+                max_prefork_size: max_size,
+                ..SearchConfig::default()
+            };
+            let inc = optimal_partition(&m, &cfg);
+            let refr = optimal_partition_reference(&m, &cfg);
+            assert_eq!(inc.cost.to_bits(), refr.cost.to_bits(), "cost @ {max_size}");
+            assert_eq!(inc.chosen, refr.chosen, "chosen @ {max_size}");
+            assert_eq!(inc.visited, refr.visited, "visited @ {max_size}");
+            assert_eq!(
+                inc.pruned_size, refr.pruned_size,
+                "pruned_size @ {max_size}"
+            );
+            assert_eq!(
+                inc.pruned_bound, refr.pruned_bound,
+                "pruned_bound @ {max_size}"
+            );
+        }
+    }
+
+    #[test]
     fn pinned_candidates_are_never_chosen() {
         let src = "
             global t: int;
@@ -905,9 +976,12 @@ mod proptests {
             prop_assert!(r.cost <= empty_cost + 1e-9);
         }
 
-        /// The incremental delta-stack evaluation agrees with the
-        /// from-scratch path — partition mask, size, cost, and re-execution
-        /// probabilities — over a random push/pop sequence.
+        /// The search's incremental state agrees with the from-scratch path
+        /// over a random push/pop sequence: the [`DeltaMask`] size, and the
+        /// evaluator's cost and re-execution probabilities bit-for-bit. A
+        /// push disarms the candidate and its VC-dep predecessors (the
+        /// candidates its closure pre-forks), so repeated pushes re-disarm
+        /// already-disarmed candidates.
         #[test]
         fn incremental_evaluation_matches_from_scratch(
             updates in proptest::collection::vec((0usize..5, 1i64..6), 1..7),
@@ -924,7 +998,6 @@ mod proptests {
             let vc_graph = VcDepGraph::build(&model);
             let movable: Vec<usize> =
                 (0..vc_graph.len()).filter(|&p| !vc_graph.immovable[p]).collect();
-            prop_assert!(!movable.is_empty() || vc_graph.is_empty() || !ops.is_empty());
             if movable.is_empty() {
                 return Ok(());
             }
@@ -936,10 +1009,14 @@ mod proptests {
                 if op % 2 == 0 || stack.is_empty() {
                     let p = movable[op % movable.len()];
                     delta.push(&vc_graph.closures[p], &model.graph.cost);
+                    let mut disarm = vc_graph.preds[p].clone();
+                    disarm.push(p);
+                    eval.disarm(&disarm);
                     stack.push(p);
                 } else {
                     let p = stack.pop().unwrap();
                     delta.pop(&vc_graph.closures[p], &model.graph.cost);
+                    eval.undo();
                 }
                 // From-scratch oracle over the distinct members of the stack.
                 let mut seeds: Vec<usize> =
@@ -951,21 +1028,16 @@ mod proptests {
                 } else {
                     spt_cost::Partition::from_seeds(&model.graph, &seeds).unwrap()
                 };
-                prop_assert_eq!(&delta.mask[..], scratch.mask(), "mask after {:?}", &stack);
                 prop_assert_eq!(delta.size, scratch.size(), "size after {:?}", &stack);
-                let c_inc = model
-                    .cost_graph()
-                    .misspeculation_cost_with(&delta.mask, &mut eval);
-                let c_ref = model.misspeculation_cost(&scratch);
-                prop_assert!((c_inc - c_ref).abs() < 1e-12, "{c_inc} vs {c_ref}");
-                let v_inc = model
-                    .cost_graph()
-                    .reexec_probs_into(&delta.mask, &mut eval)
-                    .to_vec();
-                let v_ref = model.reexec_probs(&scratch);
-                for (a, b) in v_inc.iter().zip(&v_ref) {
-                    prop_assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-                }
+                prop_assert_eq!(
+                    eval.cost().to_bits(),
+                    model.misspeculation_cost(&scratch).to_bits(),
+                    "cost after {:?}", &stack
+                );
+                let v_inc: Vec<u64> = eval.reexec_probs().iter().map(|x| x.to_bits()).collect();
+                let v_ref: Vec<u64> =
+                    model.reexec_probs(&scratch).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(v_inc, v_ref, "probabilities after {:?}", &stack);
             }
         }
 

@@ -275,6 +275,28 @@ fn need(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
     get_varint(buf, pos).ok_or_else(|| "truncated varint".to_string())
 }
 
+/// Reads the count of a list whose items each encode to at least
+/// `min_encoded` bytes, and returns it with the capacity to reserve. A count
+/// the remaining bytes cannot hold is an error, so a lying count can never
+/// ask for more items than the frame could carry. The reservation is also
+/// capped at the remaining bytes' worth of `T`s: no count reserves more
+/// memory than the frame is long, and the list grows past that only as real
+/// items decode.
+fn get_count<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    min_encoded: usize,
+    what: &str,
+) -> Result<(usize, usize), String> {
+    let n = need(buf, pos)?;
+    let remaining = buf.len() - *pos;
+    if n > (remaining / min_encoded) as u64 {
+        return Err(format!("{what} count exceeds payload"));
+    }
+    let n = n as usize;
+    Ok((n, n.min(remaining / std::mem::size_of::<T>().max(1))))
+}
+
 fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
     let b = *buf.get(*pos).ok_or("truncated byte")?;
     *pos += 1;
@@ -402,6 +424,10 @@ fn put_compile_req(out: &mut Vec<u8>, c: &CompileReq) {
     out.push(c.want_module_text as u8);
 }
 
+/// Fewest bytes a [`CompileReq`] encodes to: two empty strings, a one-byte
+/// varint and two flag bytes.
+const MIN_COMPILE_REQ_BYTES: usize = 5;
+
 fn get_compile_req(buf: &[u8], pos: &mut usize) -> Result<CompileReq, String> {
     Ok(CompileReq {
         source: get_string(buf, pos)?,
@@ -475,11 +501,8 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, String> {
         KIND_PING => ReqBody::Ping,
         KIND_COMPILE => ReqBody::Compile(get_compile_req(buf, &mut pos)?),
         KIND_COMPILE_BATCH => {
-            let n = need(buf, &mut pos)? as usize;
-            if n > buf.len() {
-                return Err("batch count exceeds payload".to_string());
-            }
-            let mut items = Vec::with_capacity(n);
+            let (n, cap) = get_count::<CompileReq>(buf, &mut pos, MIN_COMPILE_REQ_BYTES, "batch")?;
+            let mut items = Vec::with_capacity(cap);
             for _ in 0..n {
                 items.push(get_compile_req(buf, &mut pos)?);
             }
@@ -574,11 +597,11 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, String> {
                 KIND_PING => OkBody::Pong,
                 KIND_COMPILE => OkBody::Compile(get_compile_resp(buf, &mut pos)?),
                 KIND_COMPILE_BATCH => {
-                    let n = need(buf, &mut pos)? as usize;
-                    if n > buf.len() {
-                        return Err("batch count exceeds payload".to_string());
-                    }
-                    let mut items = Vec::with_capacity(n);
+                    // Fewest bytes per item: a status byte and an empty
+                    // error string.
+                    let (n, cap) =
+                        get_count::<Result<CompileResp, String>>(buf, &mut pos, 2, "batch")?;
+                    let mut items = Vec::with_capacity(cap);
                     for _ in 0..n {
                         items.push(match get_u8(buf, &mut pos)? {
                             STATUS_OK => Ok(get_compile_resp(buf, &mut pos)?),
@@ -596,11 +619,10 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, String> {
                     served_from_memory: get_u8(buf, &mut pos)? != 0,
                 }),
                 KIND_STATS => {
-                    let n = need(buf, &mut pos)? as usize;
-                    if n > buf.len() {
-                        return Err("stats count exceeds payload".to_string());
-                    }
-                    let mut entries = Vec::with_capacity(n);
+                    // Fewest bytes per entry: an empty name and a one-byte
+                    // varint.
+                    let (n, cap) = get_count::<(String, u64)>(buf, &mut pos, 2, "stats")?;
+                    let mut entries = Vec::with_capacity(cap);
                     for _ in 0..n {
                         let name = get_string(buf, &mut pos)?;
                         let value = need(buf, &mut pos)?;

@@ -55,13 +55,22 @@ echo "== perfbench smoke: cold vs warm cache determinism =="
 # everything, the second reads the sim memos from `.spt-cache/`. The
 # results-only report digests must be byte-identical (the cache can never
 # change an answer) and the warm run must serve every simulation from the
-# memo.
+# memo. The cold digest must also be the pinned suite digest, so a change
+# that moves every run's decisions alike fails here too; the super-tier and
+# daemon stages below compare against the cold digest.
+expected_digest='report digest: afa9bcd052fe523c'
 rm -rf .spt-cache
 cold_out=$(cargo run --release -q -p spt-bench --bin perfbench -- --smoke)
 warm_out=$(cargo run --release -q -p spt-bench --bin perfbench -- --smoke)
 echo "$warm_out"
 cold_digest=$(grep '^report digest:' <<<"$cold_out")
 warm_digest=$(grep '^report digest:' <<<"$warm_out")
+if [[ "$cold_digest" != "$expected_digest" ]]; then
+  echo "FAIL: suite report digest moved" >&2
+  echo "  expected: $expected_digest" >&2
+  echo "  cold:     ${cold_digest:-<missing>}" >&2
+  exit 1
+fi
 if [[ -z "$cold_digest" || "$cold_digest" != "$warm_digest" ]]; then
   echo "FAIL: warm-cache report digest diverged from cold run" >&2
   echo "  cold: ${cold_digest:-<missing>}" >&2

@@ -229,3 +229,63 @@ fn semantic_edit_recompiles_to_the_cold_result() {
         "semantic edit: spliced module differs from cold"
     );
 }
+
+/// One kernel of the edit-recompile shape: a loop carrying independent
+/// scalar recurrences, each its own violation candidate.
+fn recurrence_kernel(name: &str) -> String {
+    let mut f = format!("fn {name}(n: int) -> int {{\n");
+    for j in 0..6 {
+        f.push_str(&format!("    let a{j} = {};\n", j + 1));
+    }
+    f.push_str("    for (let i = 0; i < n; i = i + 1) {\n");
+    for j in 0..6 {
+        f.push_str(&format!(
+            "        a{j} = (a{j} * {} + i) % {};\n",
+            3 + 2 * j,
+            1009 + 2 * j
+        ));
+    }
+    f.push_str("    }\n    return a0 + a1 + a2 + a3 + a4 + a5;\n}\n");
+    f
+}
+
+/// `StageTimings::search_visited` counts the partition-search nodes a
+/// compile actually searched: both analysis passes of every missed
+/// function, and nothing for units served from the cache.
+#[test]
+fn search_visited_counts_only_the_searches_that_ran() {
+    // Two textually identical kernels, so each accounts for half of a
+    // cache-off compile's searches; `main` has no loop.
+    let source = format!(
+        "{}{}fn main(n: int) -> int {{ return k0(n) + k1(n); }}\n",
+        recurrence_kernel("k0"),
+        recurrence_kernel("k1")
+    );
+    let config = CompilerConfig::best();
+    let (_, _, off) = run(&source, "main", 24, &config, None);
+    assert!(off.search_visited > 0, "the kernels were searched");
+    assert_eq!(off.search_visited % 2, 0, "identical kernels search alike");
+    let per_kernel = off.search_visited / 2;
+
+    let cache = fresh_cache();
+    let (_, _, cold) = run(&source, "main", 24, &config, Some(&cache));
+    assert_eq!(
+        cold.search_visited, off.search_visited,
+        "cold misses search"
+    );
+    let (_, _, warm) = run(&source, "main", 24, &config, Some(&cache));
+    assert_eq!(
+        warm.func_analysis_misses, 0,
+        "warm recompile hits every unit"
+    );
+    assert_eq!(warm.search_visited, 0, "cache hits search nothing");
+
+    // Editing one kernel re-searches that kernel once per analysis pass.
+    let edited = rename_ident(&source, "k0", "k0_e");
+    let (_, _, edit) = run(&edited, "main", 24, &config, Some(&cache));
+    assert_eq!(edit.func_analysis_misses, 2, "the edited kernel, per pass");
+    assert_eq!(
+        edit.search_visited, per_kernel,
+        "exactly the kernel's searches"
+    );
+}
