@@ -109,13 +109,22 @@ fn bench_suite_loop(c: &mut Criterion) {
 /// The kernel the `edit-recompile` workload re-analyzes on every edit: 20
 /// independent recurrences plus the induction variable, searched at the
 /// pipeline's size threshold — the search that dominates that workload.
+/// `workers=1` is the sequential search; `workers=2` is what the pipeline
+/// runs when that kernel is the only missed loop on a two-core host, with
+/// one speculative helper.
 fn bench_edit_recompile_kernel(c: &mut Criterion) {
     let src = spt_bench::incremental_workload::source_with(1);
     let model = loop_model(&src, "k0");
-    let config = pipeline_config(&model);
-    c.bench_function("bnb_search/edit_recompile::k0", |b| {
-        b.iter(|| black_box(optimal_partition(black_box(&model), &config)))
-    });
+    for workers in [1, 2] {
+        let config = SearchConfig {
+            workers,
+            ..pipeline_config(&model)
+        };
+        c.bench_function(
+            &format!("bnb_search/edit_recompile::k0/workers={workers}"),
+            |b| b.iter(|| black_box(optimal_partition(black_box(&model), &config))),
+        );
+    }
 }
 
 criterion_group! {

@@ -36,7 +36,8 @@
 //! Incremental scenario: `... --bin perfbench -- --incremental`
 
 use spt_bench::history::{
-    git_revision, json_field, load_history, next_entry_index, peak_rss_kb, write_history,
+    git_revision, json_field, last_comparable_entry, load_history, next_entry_index, peak_rss_kb,
+    write_history,
 };
 use spt_bench::{run_benchmark_timed, TimedBenchmarkRun};
 use spt_core::parallel::set_thread_count_override;
@@ -176,17 +177,14 @@ fn sequential_scope(entry: &str) -> Option<&str> {
     Some(&entry[open..=close])
 }
 
-/// The most recent history entry that carries a `"sequential"` scope —
-/// `loadgen`'s daemon entries interleave into the same history but have no
-/// per-stage breakdown to delta against, so they are skipped here.
-fn last_stage_entry(history: &[String]) -> Option<&String> {
-    history.iter().rev().find(|e| e.contains("\"sequential\""))
-}
-
 /// Prints per-stage deltas of this run's sequential totals against the
-/// previous history entry.
-fn print_deltas(prev_entry: &str, seq: &Totals) {
-    let Some(prev) = sequential_scope(prev_entry) else {
+/// last history entry with the same execution tier and cache mode, or says
+/// there is none.
+fn print_deltas(history: &[String], exec_tier: &str, cache_mode: &str, seq: &Totals) {
+    let Some(prev) =
+        last_comparable_entry(history, exec_tier, cache_mode).and_then(|e| sequential_scope(e))
+    else {
+        println!("\nno comparable history entry (exec_tier {exec_tier}, cache_mode {cache_mode})");
         return;
     };
     println!("\nper-stage delta vs previous entry (sequential):");
@@ -355,6 +353,14 @@ fn main() {
         "pipeline wall-time per stage, sequential vs parallel",
     );
     let config = cached_best();
+    let exec_tier = format!("{:?}", spt_ir::exec_tier()).to_lowercase();
+    let cache_mode = if cold {
+        "cold"
+    } else if warm {
+        "warm"
+    } else {
+        "as-found"
+    };
 
     if cold {
         // Start from an empty artifact cache: every stage pays full cost.
@@ -388,9 +394,12 @@ fn main() {
         );
         println!("report digest: {:016x}", report_digest(&seq_runs));
         assert!(seq.wall_s > 0.0 && seq.profile_s > 0.0 && seq.sim_s > 0.0);
-        if let Some(prev) = last_stage_entry(&load_history("BENCH_pipeline.json")) {
-            print_deltas(prev, &seq);
-        }
+        print_deltas(
+            &load_history("BENCH_pipeline.json"),
+            &exec_tier,
+            cache_mode,
+            &seq,
+        );
         println!("\nsmoke pass OK (no BENCH_pipeline.json update)");
         return;
     }
@@ -446,16 +455,7 @@ fn main() {
         );
     }
     let mut history = load_history("BENCH_pipeline.json");
-    if let Some(prev) = last_stage_entry(&history) {
-        print_deltas(prev, &seq);
-    }
-    let cache_mode = if cold {
-        "cold"
-    } else if warm {
-        "warm"
-    } else {
-        "as-found"
-    };
+    print_deltas(&history, &exec_tier, cache_mode, &seq);
     let entry = format!(
         "{{\"entry\": {}, \"rev\": \"{}\", \"config\": \"best\", \
          \"exec_tier\": \"{}\", \"cache_mode\": \"{cache_mode}\", \
@@ -464,7 +464,7 @@ fn main() {
          \"per_benchmark_sequential\": [{per_bench}]}}",
         next_entry_index(&history),
         git_revision(),
-        format!("{:?}", spt_ir::exec_tier()).to_lowercase(),
+        exec_tier,
         seq.json(1),
         par.json(threads)
     );

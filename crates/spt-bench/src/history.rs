@@ -98,6 +98,25 @@ pub fn normalize_entry(e: &str, i: usize) -> String {
     format!("{{{inserts}{body}")
 }
 
+/// The most recent entry a suite run may print per-stage deltas against:
+/// it has a `"sequential"` scope (`loadgen`'s daemon entries and the
+/// incremental entries do not) and the same `exec_tier` and `cache_mode`,
+/// read with [`normalize_entry`]'s defaults. A cold dense run is never
+/// compared with a warm or super-tier one.
+pub fn last_comparable_entry<'a>(
+    history: &'a [String],
+    exec_tier: &str,
+    cache_mode: &str,
+) -> Option<&'a String> {
+    let stamp =
+        |e: &str, key: &str| json_string_field(e, key).unwrap_or_else(|| "unknown".to_string());
+    history.iter().rev().find(|e| {
+        e.contains("\"sequential\"")
+            && stamp(e, "exec_tier") == exec_tier
+            && stamp(e, "cache_mode") == cache_mode
+    })
+}
+
 /// Loads the history entries of `path`, normalized and ordered by `entry`
 /// index. A legacy single-snapshot file (no `"history"` key) becomes the
 /// first entry; a missing file is an empty history.
@@ -294,6 +313,38 @@ mod tests {
         write_history(&path.to_string_lossy(), &entries).unwrap();
         assert_eq!(load_history(&path.to_string_lossy()), entries);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deltas_compare_only_like_entries() {
+        let seq = r#""sequential": {"wall_s": 1.0}"#;
+        let history: Vec<String> = [
+            format!(r#"{{"entry": 0, {seq}}}"#),
+            format!(r#"{{"entry": 1, "exec_tier": "dense", "cache_mode": "cold", {seq}}}"#),
+            format!(r#"{{"entry": 2, "exec_tier": "super", "cache_mode": "cold", {seq}}}"#),
+            r#"{"entry": 3, "kind": "daemon", "exec_tier": "dense", "cache_mode": "cold"}"#
+                .to_string(),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, e)| normalize_entry(e, i))
+        .collect();
+        let index = |e: Option<&String>| e.and_then(|e| entry_index(e));
+        // The super-tier entry is the newest suite entry, but not a match.
+        assert_eq!(
+            index(last_comparable_entry(&history, "dense", "cold")),
+            Some(1)
+        );
+        assert_eq!(
+            index(last_comparable_entry(&history, "super", "cold")),
+            Some(2)
+        );
+        // Legacy entries match only under their backfilled stamps.
+        assert_eq!(
+            index(last_comparable_entry(&history, "unknown", "unknown")),
+            Some(0)
+        );
+        assert_eq!(last_comparable_entry(&history, "dense", "warm"), None);
     }
 
     #[test]

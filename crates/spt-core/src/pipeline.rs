@@ -872,6 +872,9 @@ fn analyze_module(
         }
         plans.push(plan);
     }
+    // Workers the pool leaves idle go to the searches: with one missed loop
+    // on two threads, its search gets a speculative helper.
+    let search_workers = (crate::parallel::thread_count() / items.len().max(1)).max(1);
     let deadline = config
         .budget
         .analysis_deadline_ms
@@ -903,7 +906,16 @@ fn analyze_module(
                 "pipeline::analysis",
                 &format!("{}@{}", module.func(func_id).name, header)
             );
-            analyze_loop(module, func_id, cfg, forest, lid, collector, config)
+            analyze_loop(
+                module,
+                func_id,
+                cfg,
+                forest,
+                lid,
+                collector,
+                config,
+                search_workers,
+            )
         }));
         let analysis = match outcome {
             Ok(a) => {
@@ -1055,7 +1067,9 @@ fn fragment_from_analysis(a: &LoopAnalysis) -> LoopFragment {
     }
 }
 
-/// Builds the cost model and searches the optimal partition for one loop.
+/// Builds the cost model and searches the optimal partition for one loop,
+/// on `search_workers` threads (the result does not depend on it).
+#[allow(clippy::too_many_arguments)]
 fn analyze_loop(
     module: &Module,
     func_id: FuncId,
@@ -1064,6 +1078,7 @@ fn analyze_loop(
     loop_id: LoopId,
     collector: &ProfileCollector,
     config: &CompilerConfig,
+    search_workers: usize,
 ) -> LoopAnalysis {
     let func = module.func(func_id);
     let l = forest.get(loop_id);
@@ -1089,6 +1104,7 @@ fn analyze_loop(
         max_prefork_size: ((body_size as f64) * config.prefork_frac) as u64,
         max_vcs: config.max_vcs,
         max_visited: config.budget.search_max_visited,
+        workers: search_workers,
         ..SearchConfig::default()
     };
     let result = optimal_partition(&model, &search_config);

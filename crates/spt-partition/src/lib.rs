@@ -27,6 +27,8 @@
 
 use spt_cost::{LoopCostModel, Partition};
 
+mod speculative;
+
 /// The violation-candidate dependence graph (§5.1).
 #[derive(Clone, Debug)]
 pub struct VcDepGraph {
@@ -170,6 +172,11 @@ pub struct SearchConfig {
     /// Hard cap on visited search nodes (defensive; the paper's cap is the
     /// VC limit).
     pub max_visited: u64,
+    /// Threads the search may use. At 1 it runs on the calling thread and
+    /// spawns nothing. Above 1 a search that outlives its first poll spawns
+    /// `workers − 1` helpers that speculate on later subtrees (see
+    /// [`optimal_partition`]); the result is the same at every count.
+    pub workers: usize,
 }
 
 impl Default for SearchConfig {
@@ -180,6 +187,7 @@ impl Default for SearchConfig {
             prune_size: true,
             prune_bound: true,
             max_visited: 1_000_000,
+            workers: 1,
         }
     }
 }
@@ -210,6 +218,234 @@ pub struct SearchResult {
     pub budget_exhausted: bool,
 }
 
+/// The best partition found so far, as the search compares it.
+#[derive(Clone, Debug)]
+struct Incumbent {
+    cost: f64,
+    size: u64,
+    /// Candidate positions, ascending.
+    set: Vec<usize>,
+}
+
+impl Incumbent {
+    /// `true` when the search takes the same decisions from either
+    /// incumbent: only the cost bits and the size enter them.
+    fn steers_like(&self, other: &Incumbent) -> bool {
+        self.cost.to_bits() == other.cost.to_bits() && self.size == other.size
+    }
+}
+
+/// The search's additive counters.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    visited: u64,
+    pruned_size: u64,
+    pruned_bound: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, o: Tally) {
+        self.visited += o.visited;
+        self.pruned_size += o.pruned_size;
+        self.pruned_bound += o.pruned_bound;
+    }
+}
+
+/// The read-only inputs of one search, shared by all of its workers.
+struct Problem<'a> {
+    model: &'a LoopCostModel,
+    vc_graph: VcDepGraph,
+    config: &'a SearchConfig,
+    /// `bound_disarms` for every `start`.
+    bound_disarms: Vec<Vec<usize>>,
+}
+
+/// One worker's depth-first search state.
+///
+/// It runs a *segment* of the search tree: the preorder run that starts
+/// below the candidate set `set[..root]` and ends after the subtree at the
+/// limit path `limit`, relative to `root`. A frame at level `k` whose
+/// ancestors all sit on the limit path iterates no further than
+/// `limit[k]`. The sequential search is the single segment with an empty
+/// prefix and an empty limit.
+struct Dfs<'a> {
+    problem: &'a Problem<'a>,
+    eval: spt_cost::CostEvaluator,
+    delta: DeltaMask,
+    /// Candidate-position membership of the current set (O(1) pred
+    /// checks; the set itself stays a stack for incumbent snapshots).
+    in_set: Vec<bool>,
+    set: Vec<usize>,
+    best: Incumbent,
+    /// Whether `best` was found by this run rather than handed in.
+    improved: bool,
+    /// Nodes visited before this run, counted against `max_visited`.
+    base: u64,
+    tally: Tally,
+    exhausted: bool,
+    root: usize,
+    limit: Vec<usize>,
+    /// How many leading levels of `set[root..]` equal `limit`.
+    path_match: usize,
+    /// One past the deepest level whose frame ran its child loop while on
+    /// the limit path. It tells where the sequential search resumes after
+    /// this segment.
+    opened: usize,
+    /// Set by [`speculative`] to unwind the run early (restart or stop).
+    halted: bool,
+    link: Option<speculative::Link<'a>>,
+}
+
+impl<'a> Dfs<'a> {
+    fn new(problem: &'a Problem<'a>, best: Incumbent) -> Self {
+        let model = problem.model;
+        Dfs {
+            problem,
+            eval: model.evaluator(),
+            delta: DeltaMask::new(model.graph.nodes.len()),
+            in_set: vec![false; problem.vc_graph.len()],
+            set: Vec::new(),
+            best,
+            improved: false,
+            base: 0,
+            tally: Tally::default(),
+            exhausted: false,
+            root: 0,
+            limit: Vec::new(),
+            path_match: 0,
+            opened: 0,
+            halted: false,
+            link: None,
+        }
+    }
+
+    fn push(&mut self, p: usize) {
+        let model = self.problem.model;
+        self.delta
+            .push(&self.problem.vc_graph.closures[p], &model.graph.cost);
+        self.in_set[p] = true;
+        self.set.push(p);
+    }
+
+    fn pop(&mut self) {
+        let model = self.problem.model;
+        let p = self.set.pop().expect("pop matches a push");
+        self.delta
+            .pop(&self.problem.vc_graph.closures[p], &model.graph.cost);
+        self.in_set[p] = false;
+    }
+
+    fn consider(&mut self, cost: f64) {
+        let size = self.delta.size;
+        let better = cost < self.best.cost - 1e-12
+            || (cost < self.best.cost + 1e-12 && size < self.best.size);
+        if better {
+            self.best = Incumbent {
+                cost,
+                size,
+                set: self.set.clone(),
+            };
+            self.improved = true;
+            if self.link.is_some() {
+                speculative::publish(self);
+            }
+        }
+    }
+
+    /// The sequential search's budget check, made before every child and
+    /// at every search entry.
+    fn over_budget(&mut self) -> bool {
+        if self.halted {
+            return true;
+        }
+        if self.base + self.tally.visited >= self.problem.config.max_visited {
+            self.exhausted = true;
+            return true;
+        }
+        false
+    }
+
+    /// Explores the descendants of the current set, whose max position is
+    /// `max_pos`, at `level` below `root`.
+    fn search(&mut self, max_pos: Option<usize>, level: usize) {
+        if self.over_budget() {
+            return;
+        }
+        let start = max_pos.map_or(0, |m| m + 1);
+        // Bound pruning: the best any descendant can do is the cost with
+        // every still-addable candidate included. Disarm their closures'
+        // candidates, read the bound, undo — no closure walk.
+        if self.problem.config.prune_bound {
+            let all = &self.problem.bound_disarms[start];
+            if !all.is_empty() {
+                self.eval.disarm(all);
+                let bound = self.eval.cost();
+                self.eval.undo();
+                if bound >= self.best.cost - 1e-12 {
+                    self.tally.pruned_bound += 1;
+                    return;
+                }
+            }
+        }
+        self.children(start, level);
+    }
+
+    /// The child loop of [`Dfs::search`] from position `start` on.
+    fn children(&mut self, start: usize, level: usize) {
+        let problem = self.problem;
+        let (vc_graph, config) = (&problem.vc_graph, problem.config);
+        if self.path_match >= level {
+            self.opened = self.opened.max(level + 1);
+        }
+        let mut p = start;
+        loop {
+            // Re-read each round: a split may have cut this level short.
+            let end = if self.path_match >= level && level < self.limit.len() {
+                self.limit[level] + 1
+            } else {
+                vc_graph.len()
+            };
+            if p >= end || self.over_budget() {
+                return;
+            }
+            // All VC-dep predecessors must already be in the set. (Sets of
+            // movable candidates are always legal: each closure is
+            // individually pinned-free and closures distribute over union,
+            // so no legality re-check is needed here.)
+            if !vc_graph.immovable[p] && vc_graph.preds[p].iter().all(|&q| self.in_set[q]) {
+                self.push(p);
+                if self.path_match == level && self.limit.get(level) == Some(&p) {
+                    self.path_match += 1;
+                }
+                self.tally.visited += 1;
+                if self.link.is_some() {
+                    speculative::on_visit(self);
+                }
+                let oversize = self.delta.size > config.max_prefork_size;
+                if self.halted {
+                    // Unwinding a restarted or stopped run.
+                } else if oversize && config.prune_size {
+                    // Size is monotone: the whole subtree is dead.
+                    self.tally.pruned_size += 1;
+                } else {
+                    self.eval.disarm(&[p]);
+                    // An oversize set (ablation mode) is not a candidate
+                    // answer, but its descendants are still explored.
+                    if !oversize {
+                        let cost = self.eval.cost();
+                        self.consider(cost);
+                    }
+                    self.search(Some(p), level + 1);
+                    self.eval.undo();
+                }
+                self.pop();
+                self.path_match = self.path_match.min(level);
+            }
+            p += 1;
+        }
+    }
+}
+
 /// Finds the minimum-misspeculation-cost legal partition of the loop, via
 /// branch-and-bound over violation-candidate sets.
 ///
@@ -227,7 +463,23 @@ pub struct SearchResult {
 /// movable candidates from `start` on *plus their predecessors*, since
 /// their closures pre-fork those too. The result is bit-identical to
 /// [`optimal_partition_reference`], which remains the differential oracle.
+///
+/// With [`SearchConfig::workers`] above 1 the depth-first walk is split
+/// speculatively (see the `speculative` module): idle helpers run later
+/// subtrees from a predicted incumbent, and segments commit in DFS order,
+/// re-executed when the prediction or the budget was wrong. Cost, `chosen`,
+/// `visited`, both pruning counters and `budget_exhausted` are identical to
+/// the one-worker search at any worker count and any timing. A panic on a
+/// helper is re-raised on the calling thread.
 pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchResult {
+    search_with(model, config, speculative::Tuning::DEFAULT)
+}
+
+fn search_with(
+    model: &LoopCostModel,
+    config: &SearchConfig,
+    tuning: speculative::Tuning,
+) -> SearchResult {
     let vc_graph = VcDepGraph::build(model);
     let empty = Partition::empty(&model.graph);
     let empty_cost = model.misspeculation_cost(&empty);
@@ -245,149 +497,42 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
         };
     }
 
-    struct Ctx<'a> {
-        model: &'a LoopCostModel,
-        vc_graph: &'a VcDepGraph,
-        config: &'a SearchConfig,
-        eval: spt_cost::CostEvaluator,
-        /// `bound_disarms` for every `start`.
-        bound_disarms: Vec<Vec<usize>>,
-        delta: DeltaMask,
-        /// Candidate-position membership of the current set (O(1) pred
-        /// checks; the set itself stays a stack for `best_set` snapshots).
-        in_set: Vec<bool>,
-        best_cost: f64,
-        best_size: u64,
-        best_set: Vec<usize>,
-        visited: u64,
-        pruned_size: u64,
-        pruned_bound: u64,
-        exhausted: bool,
-    }
-
-    impl Ctx<'_> {
-        fn push(&mut self, p: usize) {
-            self.delta
-                .push(&self.vc_graph.closures[p], &self.model.graph.cost);
-            self.in_set[p] = true;
-        }
-
-        fn pop(&mut self, p: usize) {
-            self.delta
-                .pop(&self.vc_graph.closures[p], &self.model.graph.cost);
-            self.in_set[p] = false;
-        }
-
-        fn consider(&mut self, set: &[usize], cost: f64) {
-            let size = self.delta.size;
-            let better = cost < self.best_cost - 1e-12
-                || (cost < self.best_cost + 1e-12 && size < self.best_size);
-            if better {
-                self.best_cost = cost;
-                self.best_size = size;
-                self.best_set = set.to_vec();
-            }
-        }
-
-        /// Explores descendants of `set` (whose max position is `max_pos`).
-        fn search(&mut self, set: &mut Vec<usize>, max_pos: Option<usize>) {
-            if self.visited >= self.config.max_visited {
-                self.exhausted = true;
-                return;
-            }
-            let start = max_pos.map_or(0, |m| m + 1);
-            // Bound pruning: the best any descendant can do is the cost with
-            // every still-addable candidate included. Disarm their closures'
-            // candidates, read the bound, undo — no closure walk.
-            if self.config.prune_bound {
-                let all = &self.bound_disarms[start];
-                if !all.is_empty() {
-                    self.eval.disarm(all);
-                    let bound = self.eval.cost();
-                    self.eval.undo();
-                    if bound >= self.best_cost - 1e-12 {
-                        self.pruned_bound += 1;
-                        return;
-                    }
-                }
-            }
-
-            for p in start..self.vc_graph.len() {
-                if self.visited >= self.config.max_visited {
-                    self.exhausted = true;
-                    return;
-                }
-                if self.vc_graph.immovable[p] {
-                    continue;
-                }
-                // All VC-dep predecessors must already be in the set. (Sets
-                // of movable candidates are always legal: each closure is
-                // individually pinned-free and closures distribute over
-                // union, so no legality re-check is needed here.)
-                if !self.vc_graph.preds[p].iter().all(|&q| self.in_set[q]) {
-                    continue;
-                }
-                self.push(p);
-                set.push(p);
-                self.visited += 1;
-                let oversize = self.delta.size > self.config.max_prefork_size;
-                if oversize && self.config.prune_size {
-                    // Size is monotone: the whole subtree is dead.
-                    self.pruned_size += 1;
-                } else {
-                    self.eval.disarm(&[p]);
-                    // An oversize set (ablation mode) is not a candidate
-                    // answer, but its descendants are still explored.
-                    if !oversize {
-                        let cost = self.eval.cost();
-                        self.consider(set, cost);
-                    }
-                    self.search(set, Some(p));
-                    self.eval.undo();
-                }
-                set.pop();
-                self.pop(p);
-            }
-        }
-    }
-
-    let mut ctx = Ctx {
+    let problem = Problem {
         model,
-        vc_graph: &vc_graph,
-        config,
-        eval: model.evaluator(),
         bound_disarms: (0..=vc_graph.len())
             .map(|start| bound_disarms(&vc_graph, start))
             .collect(),
-        delta: DeltaMask::new(model.graph.nodes.len()),
-        in_set: vec![false; vc_graph.len()],
-        best_cost: empty_cost,
-        best_size: 0,
-        best_set: Vec::new(),
-        visited: 0,
-        pruned_size: 0,
-        pruned_bound: 0,
-        exhausted: false,
+        vc_graph,
+        config,
     };
-    let mut set = Vec::new();
-    ctx.search(&mut set, None);
+    let start = Incumbent {
+        cost: empty_cost,
+        size: 0,
+        set: Vec::new(),
+    };
+    let (best, tally, exhausted) = if config.workers <= 1 {
+        let mut dfs = Dfs::new(&problem, start);
+        dfs.search(None, 0);
+        (dfs.best, dfs.tally, dfs.exhausted)
+    } else {
+        speculative::search(&problem, start, config.workers, tuning)
+    };
 
-    let chosen = ctx.best_set.clone();
-    let seeds: Vec<usize> = chosen.iter().map(|&p| vc_graph.vcs[p]).collect();
+    let seeds: Vec<usize> = best.set.iter().map(|&p| problem.vc_graph.vcs[p]).collect();
     let partition = if seeds.is_empty() {
         Partition::empty(&model.graph)
     } else {
         Partition::from_seeds(&model.graph, &seeds).expect("best set was legal during search")
     };
     SearchResult {
-        cost: ctx.best_cost,
+        cost: best.cost,
         partition,
-        chosen,
-        visited: ctx.visited,
-        pruned_size: ctx.pruned_size,
-        pruned_bound: ctx.pruned_bound,
+        chosen: best.set,
+        visited: tally.visited,
+        pruned_size: tally.pruned_size,
+        pruned_bound: tally.pruned_bound,
         skipped_too_many_vcs: false,
-        budget_exhausted: ctx.exhausted,
+        budget_exhausted: exhausted,
     }
 }
 

@@ -67,7 +67,11 @@ pub struct SptEmitInfo {
 /// # Errors
 ///
 /// Returns [`TransformError`] if the loop id is stale or the loop is not in
-/// canonical form.
+/// canonical form, and [`TransformError::Precondition`] if the pre-fork set
+/// cannot be honoured: a header definition live after the loop is left out
+/// of it, or a moved or replicated instruction (the header's exit test is
+/// always replicated) reads an in-loop value that is neither a header phi
+/// nor in the set.
 pub fn emit_spt_loop(
     func: &mut Function,
     spec: &SptLoopSpec,
@@ -141,6 +145,38 @@ pub fn emit_spt_loop(
             {
                 return Err(TransformError::Precondition(format!(
                     "header definition {i} is live outside the loop but not in the pre-fork set"
+                )));
+            }
+        }
+    }
+
+    // Precondition: the pre-fork region is closed under in-loop operands.
+    // A moved or replicated instruction is cloned into the pre-fork region,
+    // so each value it reads from the loop must be a header phi or cloned
+    // too; otherwise the clone would read the original, post-fork value.
+    {
+        let loop_defs: HashSet<InstId> = l
+            .blocks
+            .iter()
+            .flat_map(|&bb| func.block(bb).insts.iter().copied())
+            .collect();
+        let prefork =
+            |d: InstId| header_phis.contains(&d) || moved.contains(&d) || replicated.contains(&d);
+        let mut cloned: Vec<InstId> = moved.iter().chain(&replicated).copied().collect();
+        cloned.sort_unstable();
+        for i in cloned {
+            let mut open = None;
+            func.inst(i).kind.for_each_operand(|op| {
+                if let Operand::Inst(d) = op {
+                    if open.is_none() && loop_defs.contains(&d) && !prefork(d) {
+                        open = Some(d);
+                    }
+                }
+            });
+            if let Some(d) = open {
+                return Err(TransformError::Precondition(format!(
+                    "pre-fork instruction {i} reads in-loop value {d}, which is neither a \
+                     header phi nor in the pre-fork set"
                 )));
             }
         }

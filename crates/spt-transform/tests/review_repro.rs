@@ -148,33 +148,3 @@ fn svp_carrier_is_header_phi() {
     // fib-ish: x after 10 iters starting x=0,y=1 => fib(10) = 55
     assert_eq!(r.ret.unwrap().as_i64(), 55);
 }
-
-// Repro 3: emit_spt_loop auto-replicates the header terminator even when the
-// caller's sets don't include the closure of its condition; the cloned
-// branch then references the original (post-fork) compare.
-#[test]
-fn header_test_closure_not_enforced() {
-    let src = "
-        fn f(n: int) -> int {
-            let i = 0;
-            let s = 0;
-            while (i < n) {
-                s = s + i;
-                i = i + 1;
-            }
-            return s;
-        }
-    ";
-    let mut m = spt_frontend::compile(src).unwrap();
-    let fid = m.func_by_name("f").unwrap();
-    let spec = SptLoopSpec {
-        loop_id: LoopId::new(0),
-        move_insts: HashSet::new(),
-        replicate_insts: HashSet::new(),
-        loop_tag: 1,
-    };
-    emit_spt_loop(m.func_mut(fid), &spec).expect("emit");
-    let v = spt_ir::verify::verify_module(&m);
-    eprintln!("verify result: {v:?}");
-    v.expect("verifies");
-}

@@ -2,8 +2,14 @@
 //! SVP on conditional carriers, promotion around while loops, and emission
 //! robustness.
 
+use spt_ir::loops::LoopId;
+use spt_ir::{Cfg, DomTree, InstKind, LoopForest};
 use spt_profile::{Interp, NoProfiler, Val};
-use spt_transform::{classify_loop, promote_global_scalars, unroll_loop, UnrollKind};
+use spt_transform::{
+    classify_loop, emit_spt_loop, promote_global_scalars, unroll_loop, SptLoopSpec, TransformError,
+    UnrollKind,
+};
+use std::collections::HashSet;
 
 fn run_ret(module: &spt_ir::Module, entry: &str, arg: i64) -> i64 {
     Interp::new(module)
@@ -218,5 +224,60 @@ fn svp_on_conditionally_updated_carrier() {
     spt_ir::verify::verify_module(&m).expect("verifies");
     for n in [0i64, 15, 16, 17, 100] {
         assert_eq!(run_ret(&m, "f", n), native(n), "n={n}");
+    }
+}
+
+/// `emit_spt_loop` always replicates the header's exit test into the
+/// pre-fork region. A spec that leaves out the test's compare would make the
+/// cloned branch read the original, post-fork compare, so it is rejected
+/// rather than emitted as IR the verifier refuses. With the compare (whose
+/// other operands are a header phi and a parameter) the loop verifies and
+/// computes what it did before.
+#[test]
+fn header_test_closure_is_enforced() {
+    let src = "
+        fn f(n: int) -> int {
+            let i = 0;
+            let s = 0;
+            while (i < n) {
+                s = s + i;
+                i = i + 1;
+            }
+            return s;
+        }
+    ";
+    let base = spt_frontend::compile(src).unwrap();
+    let fid = base.func_by_name("f").unwrap();
+    let spec = |move_insts| SptLoopSpec {
+        loop_id: LoopId::new(0),
+        move_insts,
+        replicate_insts: HashSet::new(),
+        loop_tag: 1,
+    };
+
+    let mut open = base.clone();
+    let err = emit_spt_loop(open.func_mut(fid), &spec(HashSet::new()));
+    assert!(
+        matches!(err, Err(TransformError::Precondition(_))),
+        "{err:?}"
+    );
+
+    let func = base.func(fid);
+    let cfg = Cfg::compute(func);
+    let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
+    let header = forest.get(LoopId::new(0)).header;
+    let compares: HashSet<_> = func
+        .block(header)
+        .insts
+        .iter()
+        .copied()
+        .filter(|&i| matches!(func.inst(i).kind, InstKind::Cmp { .. }))
+        .collect();
+    assert_eq!(compares.len(), 1);
+    let mut closed = base.clone();
+    emit_spt_loop(closed.func_mut(fid), &spec(compares)).expect("emits");
+    spt_ir::verify::verify_module(&closed).expect("verifies");
+    for n in [0, 1, 10, 37] {
+        assert_eq!(run_ret(&closed, "f", n), run_ret(&base, "f", n), "f({n})");
     }
 }

@@ -289,3 +289,80 @@ fn search_visited_counts_only_the_searches_that_ran() {
         "exactly the kernel's searches"
     );
 }
+
+/// Kernel `k0` of the `edit-recompile` benchmark module: 20 independent
+/// modular recurrences, whose two partition searches (pass 1 and after
+/// SVP) visit 170,543 and 131,804 nodes.
+fn edit_recompile_kernel() -> String {
+    let mut f = String::from("fn k0(n: int) -> int {\n");
+    for j in 0..20 {
+        f.push_str(&format!("    let a{j} = {};\n", 1 + j));
+    }
+    f.push_str("    for (let i = 0; i < n; i = i + 1) {\n");
+    for j in 0..20 {
+        f.push_str(&format!(
+            "        a{j} = (a{j} * {} + i) % {};\n",
+            3 + 2 * (j % 8),
+            1009 + 2 * j
+        ));
+    }
+    f.push_str("    }\n    let t = 0;\n");
+    for j in 0..20 {
+        f.push_str(&format!("    t = t + a{j};\n"));
+    }
+    f.push_str("    return t;\n}\n");
+    f
+}
+
+/// The partition search splits over the workers the pool leaves idle. With
+/// one missed kernel, a warm edit hands that kernel's searches every
+/// worker, and the compile must not depend on how many there are: same
+/// report, same searched-node count, and under a search budget the same
+/// budget-exhausted warning and costs.
+#[test]
+fn search_is_worker_count_invariant() {
+    use spt::pipeline::parallel::set_thread_count_override;
+
+    let source = format!(
+        "{}fn main(n: int) -> int {{ return k0(n); }}\n",
+        edit_recompile_kernel()
+    );
+    let unbounded = CompilerConfig::best();
+    let mut bounded = CompilerConfig::best();
+    bounded.budget.search_max_visited = 50_000;
+    for (config, budgeted) in [(&unbounded, false), (&bounded, true)] {
+        let cache = fresh_cache();
+        set_thread_count_override(Some(1));
+        run(&source, "main", 24, config, Some(&cache));
+        let mut seen: Option<(String, u64)> = None;
+        for workers in [1, 2, 4] {
+            // A new name per compile, so each one misses the edited kernel.
+            let name = format!("k0_w{workers}");
+            let edited = rename_ident(&source, "k0", &name);
+            set_thread_count_override(Some(workers));
+            let (report, _, timings) = run(&edited, "main", 24, config, Some(&cache));
+            set_thread_count_override(None);
+            assert_eq!(
+                timings.func_analysis_misses, 2,
+                "the edited kernel, per pass"
+            );
+            let report = report.replace(&name, "k0");
+            assert_eq!(
+                report.contains("partition search budget exhausted"),
+                budgeted,
+                "budget warning at {workers} workers"
+            );
+            let got = (report, timings.search_visited);
+            match &seen {
+                None => seen = Some(got),
+                Some(first) => assert!(
+                    *first == got,
+                    "{workers} workers diverged from 1 (budgeted: {budgeted}): \
+                     {} vs {} nodes",
+                    got.1,
+                    first.1
+                ),
+            }
+        }
+    }
+}

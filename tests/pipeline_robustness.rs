@@ -11,13 +11,15 @@
 //! 3. every loop that was not selected carries at least one **diagnostic**
 //!    explaining why;
 //! 4. the report — including the diagnostic stream — is **byte-identical**
-//!    between `SPT_THREADS=1` and a multi-threaded run.
+//!    between one worker and four (set through the process-wide
+//!    worker-count override).
 //!
 //! The vendored proptest stand-in derives its cases deterministically from
 //! the test name, so CI runs are reproducible with fixed seeds by
 //! construction.
 
 use proptest::prelude::*;
+use spt::pipeline::parallel::set_thread_count_override;
 use spt::pipeline::{compile_and_transform, CompilerConfig, LoopOutcome, ProfilingInput};
 use spt::profile::{Interp, NoProfiler, Val};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,31 +130,29 @@ fn run(module: &spt::ir::Module, arg: i64) -> (Option<u64>, Vec<u64>) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    // One #[test] drives both thread counts per case: `SPT_THREADS` is
-    // process-global, so splitting across test functions would race.
+    // One #[test] drives both thread counts per case: the worker-count
+    // override is process-global, so splitting across test functions would
+    // race. (`SPT_THREADS` is read once per process, so setting it here
+    // would not switch the count.)
     #[test]
     fn random_programs_never_panic_and_degrade_deterministically(spec in arb_prog()) {
         let src = render(&spec);
         let config = pick_config(spec.config_sel);
         let input = ProfilingInput::new("main", [140]);
 
-        let saved = std::env::var("SPT_THREADS").ok();
-        std::env::set_var("SPT_THREADS", "1");
+        set_thread_count_override(Some(1));
         let seq = catch_unwind(AssertUnwindSafe(|| {
             compile_and_transform(&src, &input, &config)
         }));
-        std::env::set_var("SPT_THREADS", "4");
+        set_thread_count_override(Some(4));
         let par = catch_unwind(AssertUnwindSafe(|| {
             compile_and_transform(&src, &input, &config)
         }));
-        match saved {
-            Some(v) => std::env::set_var("SPT_THREADS", v),
-            None => std::env::remove_var("SPT_THREADS"),
-        }
+        set_thread_count_override(None);
 
         // 1. No panic escapes the pipeline.
-        prop_assert!(seq.is_ok(), "panic escaped compile_and_transform (SPT_THREADS=1):\n{src}");
-        prop_assert!(par.is_ok(), "panic escaped compile_and_transform (SPT_THREADS=4):\n{src}");
+        prop_assert!(seq.is_ok(), "panic escaped compile_and_transform (1 worker):\n{src}");
+        prop_assert!(par.is_ok(), "panic escaped compile_and_transform (4 workers):\n{src}");
         let seq = seq.unwrap();
         let par = par.unwrap();
 
@@ -168,7 +168,7 @@ proptest! {
         prop_assert_eq!(
             format!("{:?}", seq.report),
             format!("{:?}", par.report),
-            "report diverged between SPT_THREADS=1 and 4:\n{}", src
+            "report diverged between 1 and 4 workers:\n{}", src
         );
 
         // 2. Transformed-vs-baseline semantics.
